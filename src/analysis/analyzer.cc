@@ -15,36 +15,33 @@ namespace genesys::analysis
 namespace
 {
 
-/// Does @p comment carry `gstat: allow(<rule>)` (possibly among a
-/// comma-separated list)?
-bool
-commentAllows(const std::string &comment, const std::string &rule)
+/// The names listed in each `gstat: <verb>(a, b, ...)` annotation of
+/// @p comment, spaces removed.
+std::vector<std::string>
+annotated(const std::string &comment, const std::string &verb)
 {
-    std::size_t pos = 0;
-    while ((pos = comment.find("gstat:", pos)) != std::string::npos) {
-        std::size_t p = pos + 6;
-        while (p < comment.size() && comment[p] == ' ')
-            ++p;
-        if (comment.compare(p, 6, "allow(") != 0) {
-            pos = p;
+    std::vector<std::string> names;
+    const std::string open = verb + "(";
+    for (std::size_t pos = 0;
+         (pos = comment.find("gstat:", pos)) != std::string::npos;) {
+        pos = comment.find_first_not_of(' ', pos + 6);
+        if (pos == std::string::npos ||
+            comment.compare(pos, open.size(), open) != 0)
             continue;
-        }
-        p += 6;
-        const std::size_t close = comment.find(')', p);
+        const std::size_t close = comment.find(')', pos);
         if (close == std::string::npos)
-            return false;
-        std::string list = comment.substr(p, close - p);
-        std::stringstream ss(list);
-        std::string item;
-        while (std::getline(ss, item, ',')) {
+            break;
+        pos += open.size();
+        std::stringstream list(comment.substr(pos, close - pos));
+        for (std::string item; std::getline(list, item, ',');) {
             item.erase(std::remove(item.begin(), item.end(), ' '),
                        item.end());
-            if (item == rule)
-                return true;
+            if (!item.empty())
+                names.push_back(std::move(item));
         }
         pos = close;
     }
-    return false;
+    return names;
 }
 
 bool
@@ -54,17 +51,15 @@ suppressed(const LexedFile &file, const Finding &f)
     // above, so a justification comment block covers it.
     for (int line = f.line; line >= f.line - 3 && line > 0; --line) {
         auto it = file.comments.find(line);
-        if (it != file.comments.end() &&
-            commentAllows(it->second, f.rule))
-            return true;
+        if (it == file.comments.end())
+            continue;
+        for (const std::string &rule : annotated(it->second, "allow")) {
+            if (rule == f.rule)
+                return true;
+        }
     }
     return false;
 }
-
-} // namespace
-
-namespace
-{
 
 /// Collect `gstat: opaque(Class)` boundary annotations from comments.
 void
@@ -72,29 +67,8 @@ collectOpaqueClasses(Program &prog)
 {
     for (const LexedFile &file : prog.files) {
         for (const auto &entry : file.comments) {
-            const std::string &c = entry.second;
-            std::size_t pos = 0;
-            while ((pos = c.find("gstat:", pos)) !=
-                   std::string::npos) {
-                std::size_t p = pos + 6;
-                while (p < c.size() && c[p] == ' ')
-                    ++p;
-                if (c.compare(p, 7, "opaque(") != 0) {
-                    pos = p;
-                    continue;
-                }
-                p += 7;
-                const std::size_t close = c.find(')', p);
-                if (close == std::string::npos)
-                    break;
-                std::string name = c.substr(p, close - p);
-                name.erase(
-                    std::remove(name.begin(), name.end(), ' '),
-                    name.end());
-                if (!name.empty())
-                    prog.opaqueClasses.insert(std::move(name));
-                pos = close;
-            }
+            for (std::string &name : annotated(entry.second, "opaque"))
+                prog.opaqueClasses.insert(std::move(name));
         }
     }
 }

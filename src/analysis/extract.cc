@@ -754,12 +754,6 @@ class FileExtractor
                     {toks_[i + 2].text, toks_[i + 2].line});
                 continue;
             }
-            // Raw ring counters.
-            if (t.text == "headRaw_" || t.text == "tailRaw_" ||
-                t.text == "claimedRaw_") {
-                fn().rawCounters.push_back({t.text, t.line});
-                continue;
-            }
             // entries_[...] read/write.
             if (t.text == "entries_" && i + 1 < limit &&
                 isPunct(toks_[i + 1], "[")) {

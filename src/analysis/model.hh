@@ -90,13 +90,6 @@ struct SysnoRef
     int line = 0;
 };
 
-/** A raw ring-counter token (headRaw_/tailRaw_/claimedRaw_). */
-struct RawCounterUse
-{
-    std::string counter;
-    int line = 0;
-};
-
 /** An `entries_[...]` access, classified read vs write. */
 struct EntriesAccess
 {
@@ -131,7 +124,6 @@ struct Function
     std::vector<CallSite> calls;
     std::vector<LockEvent> lockEvents;
     std::vector<SysnoRef> sysnoRefs;
-    std::vector<RawCounterUse> rawCounters;
     std::vector<EntriesAccess> entriesAccesses;
 };
 

@@ -323,11 +323,6 @@ runOrderingPass(const Program &prog)
         "ringPublish", "ringConsume", "ringConsumeRacy", "ringObserve",
         "ringDoorbell"};
 
-    auto endsWith = [](const std::string &s, const std::string &suf) {
-        return s.size() >= suf.size() &&
-               s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-    };
-
     std::vector<Finding> findings;
     for (const Function &f : prog.functions) {
         const LexedFile &file = prog.fileOf(f);
@@ -432,19 +427,6 @@ runOrderingPass(const Program &prog)
             findings.push_back(std::move(fd));
         }
 
-        if (!endsWith(file.path, "core/ring.hh")) {
-            for (const RawCounterUse &u : f.rawCounters) {
-                Finding fd;
-                fd.path = file.path;
-                fd.line = u.line;
-                fd.rule = "raw-counter-access";
-                fd.message =
-                    "raw ring counter " + u.counter + " accessed in " +
-                    f.qualName +
-                    "; only core/ring.hh accessors may touch it";
-                findings.push_back(std::move(fd));
-            }
-        }
     }
     return findings;
 }
@@ -463,20 +445,16 @@ runPasses(const Program &prog, const PassSet &ps)
         append(runMayParkPass(cg));
     if (ps.lockOrder)
         append(runLockOrderPass(cg));
-    if (ps.ordering)
+    if (ps.ordering) {
         append(runOrderingPass(prog));
+        append(runTokenRules(prog));
+    }
     if (ps.ownership)
         append(runOwnershipPass(cg));
     if (ps.taint)
         append(runTaintPass(cg));
     sortFindings(findings);
     return findings;
-}
-
-std::vector<Finding>
-runAllPasses(const Program &prog)
-{
-    return runPasses(prog, PassSet{});
 }
 
 } // namespace genesys::analysis

@@ -24,16 +24,20 @@
  *    acquired atomically and produce no intra-group edges.
  *
  * 3. Ordering discipline (`unpaired-release`,
- *    `unpaired-hb-annotation`, `unannotated-consume`,
- *    `raw-counter-access`): flow-sensitive per-body pairing of ring
+ *    `unpaired-hb-annotation`, `unannotated-consume`): flow-sensitive per-body pairing of ring
  *    counter accesses. A release store must be ordered after an
  *    acquire load in the same body (the load may appear inside the
  *    store's own argument list, as in
  *    `storeHeadRelease(loadHeadAcquire() + 1)`); a gsan ring
  *    annotation must sit next to the counter operation it models;
  *    an `entries_[...]` read needs a `ringConsume()` acquire in the
- *    same body; raw counter members are only touched inside
- *    core/ring.hh.
+ *    same body.
+ *
+ * 4. Token rules (tokenrules.cc), selected with `ordering`: banned
+ *    identifiers outside file allowlists (`doorbell-callers`,
+ *    `segment-loan`, `raw-rand`, `wall-clock`, `raw-counter-access`),
+ *    `slot-state`, `unordered-iteration`, `coawait-owning-lambda`
+ *    and the cross-file `sysno-classified` census check.
  */
 
 #ifndef GENESYS_ANALYSIS_PASSES_HH
@@ -50,6 +54,7 @@ namespace genesys::analysis
 std::vector<Finding> runMayParkPass(CallGraph &cg);
 std::vector<Finding> runLockOrderPass(CallGraph &cg);
 std::vector<Finding> runOrderingPass(const Program &prog);
+std::vector<Finding> runTokenRules(const Program &prog);
 
 /** Pass selection for runPasses. Defaults to everything. The gflow
  *  passes (DESIGN.md §16) live in flowpasses.cc. */
@@ -64,9 +69,6 @@ struct PassSet
 
 /** Run the selected passes, sorted for stable output. */
 std::vector<Finding> runPasses(const Program &prog, const PassSet &ps);
-
-/** All passes, sorted for stable output. */
-std::vector<Finding> runAllPasses(const Program &prog);
 
 } // namespace genesys::analysis
 

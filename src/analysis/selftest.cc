@@ -641,9 +641,11 @@ completedSlot(SyscallSlot &slot, bool fail)
          {{"must-release-slot", 1}}});
 
     // ---- gflow: zero-copy segment loans -----------------------------
+    // Placed at the recvmsg syscall layer, an audited segment-loan
+    // caller, so only the flow rule speaks.
     cases.push_back(
         {"flow-netseg-loan",
-         {{"corpus/flow_netseg.cc", R"src(
+         {{"corpus/osk/syscalls.cc", R"src(
 sim::Task<long>
 loanDropped(TcpSocket *sock, OpenFile *file)
 {
@@ -843,6 +845,195 @@ clampedForward(const SyscallArgs &args)
 }
 )src"}},
          {{"gpu-taint-window", 2}}});
+
+    // ---- token rules (tokenrules.cc) --------------------------------
+    // One snippet per case, at the path whose allowlist it exercises.
+    // The readSegments snippets drop their loan, so gflow's
+    // must-release-netseg speaks there too.
+    auto lint = [&cases](const char *name, const char *path,
+                         const char *text, std::vector<Expect> expects,
+                         int suppressed = 0) {
+        cases.push_back({name, {{path, text}}, std::move(expects),
+                         suppressed});
+    };
+    lint("token-slot-write-outside-fsm", "src/core/client.cc",
+         "void f() { slot.state_ = SlotState::Ready; }", {{"slot-state", 1}});
+    lint("token-slot-write-inside-fsm", "src/core/slot.cc",
+         "void f() { state_ = to; }", {});
+    lint("token-state-compare-ok", "src/core/client.cc",
+         "bool f() { return state_ == SlotState::Ready; }", {});
+    lint("token-doorbell-outside-issue-path", "src/osk/workqueue.cc",
+         "void f() { gpu.sendInterrupt(3); }", {{"doorbell-callers", 1}});
+    lint("token-doorbell-from-client", "src/core/client.cc",
+         "void f() { gpu_.sendInterrupt(3); }", {});
+    lint("token-unordered-iteration", "src/core/x.cc",
+         "std::unordered_map<int, int> seen_;\n"
+         "void f() { for (auto &kv : seen_) { use(kv); } }",
+         {{"unordered-iteration", 1}});
+    lint("token-unordered-lookup-ok", "src/core/x.cc",
+         "std::unordered_map<int, int> seen_;\n"
+         "bool f() { return seen_.contains(3); }",
+         {});
+    lint("token-vector-iteration-ok", "src/core/x.cc",
+         "std::vector<int> v_;\nvoid f() { for (int x : v_) use(x); }",
+         {});
+    lint("token-chrono", "src/sim/x.cc",
+         "auto t = std::chrono::steady_clock::now();", {{"wall-clock", 1}});
+    lint("token-time-nullptr", "src/sim/x.cc", "auto t = time(nullptr);",
+         {{"wall-clock", 1}});
+    lint("token-modeled-accessor-ok", "src/sim/x.cc",
+         "auto t = resumeTime(3);", {});
+    lint("token-rand", "src/osk/x.cc", "int r = rand();", {{"raw-rand", 1}});
+    lint("token-random-device", "src/osk/x.cc", "std::random_device rd;",
+         {{"raw-rand", 1}});
+    lint("token-seeded-prng-ok", "src/osk/x.cc",
+         "support::Xoshiro rng(seed); auto r = rng.next();", {});
+    lint("token-owning-lambda-in-co-await", "src/core/x.cc",
+         "sim::Task<> f() { co_await g([shared](int x) "
+         "{ shared->v = x; }); }",
+         {{"coawait-owning-lambda", 1}});
+    lint("token-init-capture-in-co-await", "src/core/x.cc",
+         "sim::Task<> f() { co_await g([p = std::move(q)](int x) "
+         "{ p->v = x; }); }",
+         {{"coawait-owning-lambda", 1}});
+    lint("token-ref-lambda-in-co-await-ok", "src/core/x.cc",
+         "sim::Task<> f() { co_await g([&](int x) { use(x); }); }",
+         {});
+    lint("token-named-hoist-ok", "src/core/x.cc",
+         "sim::Task<> f() { std::function<void(int)> cb = "
+         "[shared](int x) { shared->v = x; };\n"
+         "co_await g(std::move(cb)); }",
+         {});
+    lint("token-subscript-not-a-lambda", "src/core/x.cc",
+         "sim::Task<> f() { co_await g(table[idx](3)); }", {});
+    lint("token-banned-name-in-comment-ok", "src/core/x.cc",
+         "// calls sendInterrupt() and rand() at time(nullptr)\n"
+         "void f();",
+         {});
+    lint("token-banned-name-in-string-ok", "src/osk/classification.cc",
+         "const char *names[] = {\"gettimeofday\", \"clock_gettime\"};",
+         {});
+    lint("token-allow-escape", "src/core/x.cc",
+         "int r = rand(); // gstat: allow(raw-rand)", {}, 1);
+    lint("token-raw-ring-counter-store-outside-ring-hh",
+         "src/core/client.cc", "void f(SyscallRing &r) { r.tailRaw_ = 7; }",
+         {{"raw-counter-access", 1}});
+    lint("token-raw-ring-counter-load-outside-ring-hh",
+         "src/core/backend/service_core.cc",
+         "bool f(const SyscallRing &r) "
+         "{ return r.headRaw_ == r.claimedRaw_; }",
+         {{"raw-counter-access", 1}});
+    lint("token-raw-counter-inside-the-accessor-header-ok",
+         "src/core/ring.hh",
+         "std::uint64_t loadHeadAcquire() const { return headRaw_; }",
+         {});
+    lint("token-accessor-call-sites-ok", "src/core/client.cc",
+         "void f(SyscallRing &r) "
+         "{ r.storeTailRelease(r.loadHeadAcquire() + 1); }",
+         {});
+    lint("token-ring-counter-in-comment-ok", "src/core/client.cc",
+         "// reads headRaw_ via loadHeadAcquire()\nvoid f();", {});
+    lint("token-ring-counter-allow-escape", "src/core/x.cc",
+         "auto h = r.headRaw_; // gstat: allow(raw-counter-access)",
+         {}, 1);
+    lint("token-readsegments-outside-the-audited-loan-paths",
+         "src/core/x.cc",
+         "sim::Task<> f(osk::TcpSocket *s, osk::NetSeg *o) "
+         "{ co_await s->readSegments(o, 8, false); }",
+         {{"segment-loan", 1}, {"must-release-netseg", 1}});
+    lint("token-readsegments-in-the-syscall-layer-ok",
+         "src/osk/syscalls.cc",
+         "sim::Task<> f(osk::TcpSocket *s, osk::NetSeg *o) "
+         "{ co_await s->readSegments(o, 8, true); }",
+         {{"must-release-netseg", 1}});
+    lint("token-readsegments-in-gkv-ok", "src/workloads/gkv.cc",
+         "sim::Task<> f(osk::TcpSocket *s, osk::NetSeg *o) "
+         "{ co_await s->readSegments(o, 8, false); }",
+         {{"must-release-netseg", 1}});
+    lint("token-readsegments-in-a-comment-ok", "src/core/x.cc",
+         "// drained via readSegments(out, 8, false)\nvoid f();", {});
+    lint("token-readsegments-allow-escape", "src/core/x.cc",
+         "co_await s->readSegments(o, 8, false); "
+         "// gstat: allow(segment-loan)",
+         {}, 1);
+    lint("token-banned-name-in-raw-string-ok", "src/core/x.cc",
+         "const char *s = R\"(calls rand() at time(nullptr))\";\n"
+         "void f();",
+         {});
+    lint("token-raw-string-with-inner-quote-stays-synced", "src/core/x.cc",
+         "const char *s = R\"(a \"quoted\" word)\"; int r = rand();",
+         {{"raw-rand", 1}});
+    lint("token-raw-string-custom-delimiter", "src/core/x.cc",
+         "const char *s = R\"x(ends with )\" but not here)x\";\n"
+         "int r = rand();",
+         {{"raw-rand", 1}});
+    lint("token-prefixed-raw-string", "src/core/x.cc",
+         "auto s = u8R\"(state_ = \"fake\")\"; "
+         "auto t = LR\"(srand(7))\";\nvoid f();",
+         {});
+    lint("token-identifier-ending-in-r-is-not-a-raw-prefix",
+         "src/core/x.cc", "void f() { LOG_ERROR\"tag\"; int r = rand(); }",
+         {{"raw-rand", 1}});
+
+    // sysno-classified reads both files of the real census pair and
+    // checks the reverse direction against the frozen census.
+    auto sysno = [&cases](const char *name, const char *syscalls,
+                          const char *census, int count,
+                          int suppressed = 0) {
+        CorpusCase c{name,
+                     {{"src/osk/syscalls.hh", syscalls},
+                      {"src/osk/classification.cc", census}},
+                     {},
+                     suppressed};
+        if (count != 0)
+            c.expects.push_back({"sysno-classified", count});
+        cases.push_back(std::move(c));
+    };
+    sysno("token-sysno-all-classified",
+          "inline constexpr int read = 0;\n"
+          "inline constexpr int socket = 41;",
+          "Row rows[] = {{\"read\"}, {\"socket\"}};", 0);
+    sysno("token-sysno-missing-row",
+          "inline constexpr int read = 0;\n"
+          "inline constexpr int frobnicate = 99;",
+          "Row rows[] = {{\"read\"}};", 1);
+    sysno("token-sysno-commented-out-number-ignored",
+          "// inline constexpr int ghost = 7;\n"
+          "inline constexpr int read = 0;",
+          "Row rows[] = {{\"read\"}};", 0);
+    sysno("token-sysno-row-anywhere-in-the-table-counts",
+          "inline constexpr int epoll_wait = 232;",
+          "groups[] = {{\"fork\", \"vfork\", \"epoll_wait\"}};", 0);
+    sysno("token-sysno-two-missing-rows-flagged-individually",
+          "inline constexpr int a_call = 1;\n"
+          "inline constexpr int b_call = 2;",
+          "Row rows[] = {{\"fork\"}};", 2);
+    sysno("token-sysno-typod-row-flagged-reverse-direction",
+          "inline constexpr int read = 0;",
+          "Row rows[] = {{\"read\"}, {\"raed\"}};", 1);
+    sysno("token-sysno-census-baseline-row-ok",
+          "inline constexpr int read = 0;",
+          "Row rows[] = {{\"read\"}, {\"fork\"}};", 0);
+    sysno("token-sysno-hand-added-census-only-row-allowed-on-its-line",
+          "inline constexpr int read = 0;",
+          "Row rows[] = {{\"read\"},\n"
+          "              {\"io_uring_enter\"}};"
+          "  // gstat: allow(sysno-classified)",
+          0, 1);
+    sysno("token-sysno-both-directions-at-once",
+          "inline constexpr int read = 0;\n"
+          "inline constexpr int new_call = 5;",
+          "Row rows[] = {{\"read\"}, {\"stale_row\"}};", 2);
+    sysno("token-sysno-real-baseline-covers-the-current-census",
+          "inline constexpr int read = 0;",
+          "Row rows[] = {{\"read\"}, {\"fork\"}, {\"execve\"}, "
+          "{\"filesystem\"}};",
+          0);
+    // Rows are string tokens: a quoted name in a comment classifies
+    // nothing, and is not itself a row.
+    sysno("token-sysno-row-in-comment-does-not-classify",
+          "inline constexpr int frobnicate = 99;",
+          "// \"frobnicate\" is pending\nRow rows[] = {{\"fork\"}};", 1);
 
     return cases;
 }

@@ -106,6 +106,20 @@ sysIoctl(WaitQueue &wq) { return wq.wait(); }
     EXPECT_EQ(far.suppressed, 0);
 }
 
+TEST(Gstat, OnlyGstatSpellingSuppressesTokenRules)
+{
+    const AnalysisResult allowed =
+        analyze("// gstat: allow(raw-rand)\nint r = rand();\n");
+    EXPECT_TRUE(allowed.findings.empty());
+    EXPECT_EQ(allowed.suppressed, 1);
+
+    // The retired Python linter's spelling suppresses nothing.
+    const AnalysisResult retired =
+        analyze("// glint: allow(raw-rand)\nint r = rand();\n");
+    ASSERT_EQ(rulesOf(retired), std::vector<std::string>{"raw-rand"});
+    EXPECT_EQ(retired.suppressed, 0);
+}
+
 TEST(Gstat, OpaqueClassBlocksUnqualifiedResolution)
 {
     const char *wrapper = R"src(
@@ -361,8 +375,9 @@ TEST(Gflow, NetSegSlotOverwriteReleasesLoan)
 {
     // The gkv reclaim idiom: a subscript store INTO the loan
     // container drops that slot's loan; the assert's sign fact rules
-    // out the zero-iteration path.
-    const AnalysisResult r = analyze(R"src(
+    // out the zero-iteration path. It sits at gkv's path, one of the
+    // audited readSegments callers.
+    const AnalysisResult r = analyzeSources({{"src/workloads/gkv.cc", R"src(
 long drain(Sock &s) {
     NetSeg segs[4];
     long got = s.readSegments(segs, 4, false);
@@ -371,7 +386,7 @@ long drain(Sock &s) {
         segs[i] = NetSeg{};
     return got;
 }
-)src");
+)src"}});
     EXPECT_TRUE(r.findings.empty());
 }
 

@@ -4,11 +4,12 @@
  * corpus with --self-test (--self-test-flow for just the gflow cases).
  *
  * --passes=a,b,c restricts the run (may-park, lock-order, ordering,
- * ownership, taint); --json emits machine-readable findings for the
+ * ownership, taint; the token rules run with ordering) and must name
+ * at least one pass; --json emits machine-readable findings for the
  * baseline-diff gate (scripts/gstat_diff.py).
  *
- * Exit codes mirror glint: 0 clean, 1 findings (or corpus failures),
- * 2 usage / IO error.
+ * Exit codes: 0 clean, 1 findings (or corpus failures), 2 usage / IO
+ * error.
  */
 
 #include <cstdio>
@@ -64,6 +65,7 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/// False on an unknown pass name or an empty selection.
 bool
 parsePasses(const std::string &csv, genesys::analysis::PassSet &ps)
 {
@@ -89,7 +91,8 @@ parsePasses(const std::string &csv, genesys::analysis::PassSet &ps)
             return false;
         pos = comma + 1;
     }
-    return true;
+    return ps.mayPark || ps.lockOrder || ps.ordering || ps.ownership ||
+           ps.taint;
 }
 
 } // namespace
