@@ -282,6 +282,18 @@ collect(const std::vector<Token> &toks, std::size_t b, std::size_t e,
                                   isP(toks[open - 2], "->")) &&
                 toks[open - 3].kind == TokKind::Ident)
                 f.callReceiver = toks[open - 3].text;
+            // The first argument ends at the first top-level ','.
+            std::size_t argEnd = open + 1;
+            for (int d = 0; argEnd < e - 1; ++argEnd) {
+                const Token &t = toks[argEnd];
+                if (isP(t, "(") || isP(t, "[") || isP(t, "{"))
+                    ++d;
+                else if (isP(t, ")") || isP(t, "]") || isP(t, "}"))
+                    --d;
+                else if (d == 0 && isP(t, ","))
+                    break;
+            }
+            f.callArgRoot = spanRoot(toks, open + 1, argEnd);
         }
     }
     out.push_back(std::move(f));

@@ -80,6 +80,8 @@ struct CondFact
     /// "beginProcessing"); empty for plain variables.
     std::string callReceiver;
     std::string callCallee;
+    /// Root of the call's first argument ("slot" in `take(slot, t)`).
+    std::string callArgRoot;
     /// Cmp only: the asserted operator after sense folding —
     /// `!(a < b)` on the true edge and `a < b` on the false edge both
     /// yield op ">=".

@@ -325,6 +325,9 @@ struct Res
     /// Acquire may have failed; killed by the failure edge
     /// (Falsy / negative-result facts) until confirmed.
     bool conditional = false;
+    /// The acquiring callee: a call-atom branch on it decides the
+    /// acquire (`beginProcessing`, or a wrapper such as `take`).
+    std::string acquiredBy;
 };
 
 struct OwnState
@@ -630,6 +633,7 @@ class OwnershipPass
             r.var = var;
             r.line = cs.line;
             r.conditional = conditional;
+            r.acquiredBy = cs.callee;
             st.live[var] = r;
             st.alias.erase(var);
             if (!guardVar.empty() && guardVar != var)
@@ -652,6 +656,17 @@ class OwnershipPass
                 boundVarBefore(*toks_, spanBegin, cs.tokenIndex);
             bind(ResKind::Slot, cs.receiver, true, bound);
             return;
+        }
+        for (int def : cg_.resolveDefs(cs)) {
+            const int p = slotTakeParam(def);
+            if (p >= 0 && p < static_cast<int>(cs.argRoots.size())) {
+                const std::string bound =
+                    boundVarBefore(*toks_, spanBegin, cs.tokenIndex);
+                bind(ResKind::Slot,
+                     cs.argRoots[static_cast<std::size_t>(p)], true,
+                     bound);
+                return;
+            }
         }
         if (cs.callee == "readSegments" && !cs.argRoots.empty() &&
             !cs.argRoots[0].empty()) {
@@ -728,18 +743,24 @@ class OwnershipPass
     {
         if (st.dead)
             return;
-        // Call-atom: `if (!slot.beginProcessing())` — the receiver's
-        // acquire is decided by this edge.
-        if (!f.callCallee.empty() &&
-            f.callCallee == "beginProcessing") {
-            const std::string key = resolve(st, f.callReceiver);
-            if (!key.empty() && st.live[key].conditional) {
+        // Call-atom: `if (!slot.beginProcessing())` or
+        // `if (!core.take(slot, t))` — this edge decides the acquire
+        // that call made on its receiver or first argument.
+        if (!f.callCallee.empty()) {
+            for (const std::string *root :
+                 {&f.callReceiver, &f.callArgRoot}) {
+                const std::string key = resolve(st, *root);
+                if (key.empty() || !st.live[key].conditional ||
+                    st.live[key].acquiredBy != f.callCallee)
+                    continue;
                 if (f.kind == CondFact::Kind::Falsy)
                     release(st, key);
                 else if (f.kind == CondFact::Kind::Truthy)
                     st.live[key].conditional = false;
+                return;
             }
-            return;
+            if (f.callCallee == "beginProcessing")
+                return;
         }
         // Guard variables decide the acquire they guard.
         std::string target = resolve(st, f.subject);
@@ -787,6 +808,31 @@ class OwnershipPass
             st.posKnown.count(f.subject) != 0 &&
             st.zeroInit.count(f.rhsRoot) != 0)
             st.dead = true;
+    }
+
+    /// The parameter functions[def] hands back to its caller as a
+    /// conditionally-taken slot — its body returns
+    /// `param.beginProcessing()` (ServiceCore::take) — or -1.
+    int
+    slotTakeParam(int def)
+    {
+        auto it = takeMemo_.find(def);
+        if (it != takeMemo_.end())
+            return it->second;
+        const Function &fn =
+            prog_.functions[static_cast<std::size_t>(def)];
+        const std::vector<Token> &toks = prog_.fileOf(fn).tokens;
+        int found = -1;
+        for (const CallSite &c : fn.calls) {
+            if (c.callee != "beginProcessing" || c.tokenIndex < 3 ||
+                !isId(toks[c.tokenIndex - 3], "return"))
+                continue;
+            for (std::size_t p = 0; p < fn.params.size(); ++p)
+                if (!c.receiver.empty() && fn.params[p] == c.receiver)
+                    found = static_cast<int>(p);
+        }
+        takeMemo_[def] = found;
+        return found;
     }
 
     /// Does functions[def] release parameter @p paramIdx of kind
@@ -859,6 +905,7 @@ class OwnershipPass
     std::vector<Finding> findings_;
     std::set<std::string> reported_;
     std::map<std::tuple<int, int, int>, bool> releaseMemo_;
+    std::map<int, int> takeMemo_;
 };
 
 // ====================================================================

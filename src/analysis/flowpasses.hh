@@ -5,8 +5,9 @@
  * Two pass families over the PathWalker:
  *
  *  - runOwnershipPass: resource-lifecycle / must-release checking.
- *    Acquire sites (fd allocation, ring claim, slot beginProcessing,
- *    zero-copy segment loans, epoll interest registration) must reach
+ *    Acquire sites (fd allocation, ring claim, slot beginProcessing
+ *    or a bool wrapper returning it, zero-copy segment loans, epoll
+ *    interest registration) must reach
  *    a matching release on every path that ends the function; a path
  *    that returns, throws, or falls off the end with a live resource
  *    is reported with the acquire site and the branch decisions that

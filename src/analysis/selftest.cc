@@ -640,6 +640,50 @@ completedSlot(SyscallSlot &slot, bool fail)
 )src"}},
          {{"must-release-slot", 1}}});
 
+    // A bool wrapper returning its parameter's beginProcessing()
+    // hands the conditional acquire to its caller (ServiceCore::take).
+    cases.push_back(
+        {"flow-slot-take-wrapper",
+         {{"corpus/flow_take.cc", R"src(
+bool
+Core::take(SyscallSlot &slot, unsigned servicer)
+{
+    setActor(servicer);
+    return slot.beginProcessing();
+}
+
+sim::Task<>
+Core::serve(SyscallSlot &slot)
+{
+    const long ret = runHandler(slot);
+    slot.complete(ret);
+    co_return;
+}
+
+sim::Task<int>
+Core::takenNotServed(SyscallSlot &slot, bool stop)
+{
+    if (!take(slot, 0))
+        co_return 0; // negative edge: never taken
+    if (stop)
+        co_return 0; // seeded defect: taken slot never served
+    co_await serve(slot);
+    co_return 1;
+}
+
+sim::Task<>
+Core::sweep(Area &area, Core &core, unsigned n)
+{
+    for (unsigned i = 0; i < n; ++i) {
+        SyscallSlot &slot = area.slot(i);
+        if (!core.take(slot, 0))
+            continue; // negative: not Ready, nothing taken
+        co_await core.serve(slot);
+    }
+}
+)src"}},
+         {{"must-release-slot", 1}}});
+
     // ---- gflow: zero-copy segment loans -----------------------------
     // Placed at the recvmsg syscall layer, an audited segment-loan
     // caller, so only the flow rule speaks.

@@ -86,21 +86,26 @@ PollingDaemonBackend::daemonLoop(std::uint32_t shard)
         last_sweep = !running_;
         // User-mode scan over the shard's slot range.
         co_await sim::Delay(eq, ticks::us(2));
+        const std::uint32_t servicer = daemonThread(shard);
         bool any = false;
         if (core_.area().ringsEnabled()) {
             // Polled-completion ring mode (DESIGN.md §13): poll the
             // shard SQ and bulk-service the published entries rather
             // than sweeping every slot; completions ride the CQ, so
             // waiters never need a wakeup from this loop.
-            const int n = co_await core_.serviceRing(
-                shard, daemonThread(shard), policy);
+            const int n =
+                co_await core_.serviceRing(shard, servicer, policy);
             any = n > 0;
         } else {
+            // take() is inline: an empty slot costs a compare, not a
+            // coroutine frame.
             for (std::uint32_t i = first; i < first + count; ++i) {
-                const bool did = co_await core_.serviceSlot(
-                    core_.area().slot(i), daemonThread(shard),
-                    i / lanes, i % lanes, policy);
-                any = any || did;
+                SyscallSlot &slot = core_.area().slot(i);
+                if (!core_.take(slot, servicer))
+                    continue;
+                any = true;
+                co_await core_.serve(slot, servicer, i / lanes,
+                                     i % lanes, policy);
             }
         }
         ++sweeps_;

@@ -96,17 +96,12 @@ ServiceCore::executeSlotCall(const SyscallSlot &slot)
                                    : ret;
 }
 
-sim::Task<bool>
-ServiceCore::serviceSlot(SyscallSlot &slot, std::uint32_t servicer,
-                         std::uint32_t hw_wave_slot, std::uint32_t lane,
-                         ScanPolicy policy)
+sim::Task<>
+ServiceCore::serve(SyscallSlot &slot, std::uint32_t servicer,
+                   std::uint32_t hw_wave_slot, std::uint32_t lane,
+                   ScanPolicy policy)
 {
-    const bool san = gsan_ != nullptr && gsan_->enabled() &&
-                     servicer != gsan::Sanitizer::kNoThread;
-    if (san)
-        gsan_->setActor(servicer);
-    if (!slot.beginProcessing())
-        co_return false;
+    const bool san = sanitizing(servicer);
     if (policy.chargeSyscallBase) {
         // Thunking into the kernel costs a user/kernel crossing
         // beyond the syscall itself (Section IX, related work).
@@ -153,14 +148,13 @@ ServiceCore::serviceSlot(SyscallSlot &slot, std::uint32_t servicer,
         slot.complete(ret);
         ++processed_;
         area_.noteProcessed(area_.shardOfWave(requester));
-        co_return true;
+        co_return;
     }
     slot.complete(ret);
     ++processed_;
     area_.noteProcessed(area_.shardOfWave(requester));
     if (wake)
         gpu_.resumeWave(requester);
-    co_return true;
 }
 
 void
@@ -191,10 +185,8 @@ ServiceCore::tryPopRingEntry(std::uint32_t shard,
     sq.probeTouch();
     if (sq.empty())
         return std::nullopt;
-    if (gsan_ != nullptr && gsan_->enabled() &&
-        servicer != gsan::Sanitizer::kNoThread) {
+    if (sanitizing(servicer))
         gsan_->setActor(servicer);
-    }
     if (params_.gsanTest.ringRacySqConsume) {
         // Seeded bug: read the entry without the consume acquire,
         // so the producer's publish is not ordered before it.
@@ -209,15 +201,15 @@ ServiceCore::serviceRingEntry(std::uint32_t shard,
                               std::uint32_t servicer,
                               ScanPolicy policy)
 {
-    const bool san = gsan_ != nullptr && gsan_->enabled() &&
-                     servicer != gsan::Sanitizer::kNoThread;
+    const bool san = sanitizing(servicer);
     SyscallSlot &slot = area_.slot(item_slot);
     const std::uint32_t wave = item_slot / area_.wavefrontSize();
     const std::uint32_t lane = item_slot % area_.wavefrontSize();
     const bool was_blocking = slot.blocking();
 
-    if (params_.gsanTest.ringCompleteBeforePublish && slot.ready() &&
-        was_blocking) {
+    const bool posted_early = params_.gsanTest.ringCompleteBeforePublish &&
+                              slot.ready() && was_blocking;
+    if (posted_early) {
         // Seeded bug (gmc mutant): post the completion event and
         // yield BEFORE servicing the entry. A polling waiter that
         // observes the tail advance re-sweeps once, finds the slot
@@ -227,17 +219,12 @@ ServiceCore::serviceRingEntry(std::uint32_t shard,
             gsan_->setActor(servicer);
         postCompletion(shard, item_slot);
         co_await sim::Delay(kernel_.sim().events(), 0);
-        if (san)
-            gsan_->setActor(servicer);
-        co_return co_await serviceSlot(slot, servicer, wave, lane,
-                                       policy)
-            ? 1
-            : 0;
     }
 
-    const bool did =
-        co_await serviceSlot(slot, servicer, wave, lane, policy);
-    if (did && was_blocking) {
+    if (!take(slot, servicer))
+        co_return 0;
+    co_await serve(slot, servicer, wave, lane, policy);
+    if (was_blocking && !posted_early) {
         // The CQ post must happen AFTER the slot's complete()
         // release: waiters elide re-sweeps while the tail is
         // unchanged, so a tail advance must prove the result is
@@ -246,7 +233,7 @@ ServiceCore::serviceRingEntry(std::uint32_t shard,
             gsan_->setActor(servicer);
         postCompletion(shard, item_slot);
     }
-    co_return did ? 1 : 0;
+    co_return 1;
 }
 
 sim::Task<int>
@@ -265,9 +252,7 @@ sim::Task<int>
 ServiceCore::serviceWaveSlots(std::uint32_t hw_wave_slot,
                               std::uint32_t servicer)
 {
-    const bool san = gsan_ != nullptr && gsan_->enabled() &&
-                     servicer != gsan::Sanitizer::kNoThread;
-    if (san) {
+    if (sanitizing(servicer)) {
         // The s_sendmsg interrupt is the edge that told this worker
         // the wave has requests outstanding.
         gsan_->interruptReceive(hw_wave_slot, servicer);
@@ -275,11 +260,11 @@ ServiceCore::serviceWaveSlots(std::uint32_t hw_wave_slot,
     const std::uint32_t first = area_.firstItemSlotOfWave(hw_wave_slot);
     int handled = 0;
     for (std::uint32_t lane = 0; lane < area_.wavefrontSize(); ++lane) {
-        const bool did = co_await serviceSlot(
-            area_.slot(first + lane), servicer, hw_wave_slot, lane,
-            ScanPolicy{});
-        if (did)
-            ++handled;
+        SyscallSlot &slot = area_.slot(first + lane);
+        if (!take(slot, servicer))
+            continue;
+        co_await serve(slot, servicer, hw_wave_slot, lane, ScanPolicy{});
+        ++handled;
     }
     co_return handled;
 }

@@ -6,9 +6,9 @@
  * Before the backend split, the interrupt path and the polling daemon
  * each carried their own near-identical slot-scan loop in
  * GenesysHost — and they drifted (the latched-hwWaveSlot fix had to
- * land twice). serviceSlot() is now the single per-slot service step;
- * the backends differ only in the ScanPolicy they pass and in how they
- * discover slots to scan.
+ * land twice). take() then serve() is now the single per-slot service
+ * step; the backends differ only in the ScanPolicy they pass and in
+ * how they discover slots to scan.
  */
 
 #ifndef GENESYS_CORE_BACKEND_SERVICE_CORE_HH
@@ -21,6 +21,7 @@
 #include "core/slot.hh"
 #include "gpu/gpu.hh"
 #include "osk/process.hh"
+#include "support/gsan.hh"
 
 namespace genesys::core
 {
@@ -50,18 +51,31 @@ class ServiceCore
     {}
 
     /**
-     * Service one slot if it is Ready: take it to Processing, execute
-     * the call in the launching process's context, deposit the result,
-     * and wake a halt-resume requester. @p servicer is the gsan thread
+     * First half of the per-slot service step: take @p slot from
+     * Ready to Processing on behalf of @p servicer, the gsan thread
      * of the servicing CPU context (kNoThread when the sanitizer is
-     * off); @p hw_wave_slot / @p lane only label the trace line.
-     * @return true when a ready slot was handled.
+     * off). Synchronous and inline, so a scan over empty slots costs
+     * no coroutine frame and no call; every visit still records the
+     * slot's gmc footprint touch.
+     * @return true when the slot was Ready: the caller must serve() it.
      */
-    sim::Task<bool> serviceSlot(SyscallSlot &slot,
-                                std::uint32_t servicer,
-                                std::uint32_t hw_wave_slot,
-                                std::uint32_t lane,
-                                ScanPolicy policy);
+    bool
+    take(SyscallSlot &slot, std::uint32_t servicer)
+    {
+        if (sanitizing(servicer))
+            gsan_->setActor(servicer);
+        return slot.beginProcessing();
+    }
+
+    /**
+     * Second half: service a slot take() returned true for — execute
+     * the call in the launching process's context, deposit the
+     * result, and wake a halt-resume requester. @p hw_wave_slot /
+     * @p lane only label the trace line.
+     */
+    sim::Task<> serve(SyscallSlot &slot, std::uint32_t servicer,
+                      std::uint32_t hw_wave_slot, std::uint32_t lane,
+                      ScanPolicy policy);
 
     /**
      * Interrupt-path scan: process every ready slot of the signalled
@@ -95,8 +109,8 @@ class ServiceCore
     tryPopRingEntry(std::uint32_t shard, std::uint32_t servicer);
 
     /**
-     * Service one already-popped SQ entry: run the named slot through
-     * serviceSlot() and post a CQ completion event for blocking calls
+     * Service one already-popped SQ entry: take and serve the named
+     * slot and post a CQ completion event for blocking calls
      * (strictly after the slot's complete() release — the §13
      * contract). @return 1 when the slot was handled.
      */
@@ -122,9 +136,8 @@ class ServiceCore
      * call: only sockets, pipes, and epoll instances can actually
      * park the servicing thread — a read(2) of a regular file is
      * bounded IO. The ring dispatcher uses this to punt real parkers
-     * to their own task without paying a task per file read (the
-     * static sysno set stays in serviceSlot, whose slot-mode timing
-     * is pinned by the parity test).
+     * to their own task without paying a task per file read, and
+     * serve() to decide which calls release their core.
      */
     bool mayParkIndefinitely(const SyscallSlot &slot) const;
 
@@ -140,6 +153,14 @@ class ServiceCore
     SyscallArea &area() { return area_; }
 
   private:
+    /** Is gsan on for hooks attributed to @p servicer? */
+    bool
+    sanitizing(std::uint32_t servicer) const
+    {
+        return gsan_ != nullptr && gsan_->enabled() &&
+               servicer != gsan::Sanitizer::kNoThread;
+    }
+
     /**
      * Execute @p slot's call through the fault-injectable dispatch
      * path. Blocking slots get the raw (possibly faulted) result —

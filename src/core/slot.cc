@@ -98,18 +98,14 @@ SyscallSlot::publish(int sysno, const osk::SyscallArgs &args,
     transition(SlotState::Ready);
 }
 
-bool
-SyscallSlot::beginProcessing()
+void
+SyscallSlot::takeReady()
 {
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, gsanId_);
-    if (state_ != SlotState::Ready)
-        return false;
     if (gsan_ && gsan_->enabled()) {
         gsan_->slotAcquire(gsanId_);
         gsan_->slotRead(gsanId_, "args");
     }
     transition(SlotState::Processing);
-    return true;
 }
 
 void
@@ -344,22 +340,6 @@ SyscallArea::quiescent(std::uint32_t shard) const
             return false;
     }
     return true;
-}
-
-SyscallSlot &
-SyscallArea::slot(std::uint32_t hw_item_slot)
-{
-    GENESYS_ASSERT(hw_item_slot < slots_.size(), "slot %u out of range",
-                   hw_item_slot);
-    return slots_[hw_item_slot];
-}
-
-const SyscallSlot &
-SyscallArea::slot(std::uint32_t hw_item_slot) const
-{
-    GENESYS_ASSERT(hw_item_slot < slots_.size(), "slot %u out of range",
-                   hw_item_slot);
-    return slots_[hw_item_slot];
 }
 
 bool

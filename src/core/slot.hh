@@ -30,6 +30,8 @@
 #include "gpu/gpu.hh"
 #include "osk/net.hh"
 #include "osk/syscalls.hh"
+#include "support/gmc_probe.hh"
+#include "support/logging.hh"
 #include "support/types.hh"
 
 namespace genesys::gsan
@@ -85,9 +87,20 @@ class SyscallSlot
     void publish(int sysno, const osk::SyscallArgs &args, bool blocking,
                  WaitMode wait_mode, std::uint32_t hw_wave_slot);
 
-    /** CPU: atomically take a ready request for processing.
-     *  @return false if the slot is not ready. */
-    bool beginProcessing();
+    /**
+     * CPU: atomically take a ready request for processing.
+     * @return false if the slot is not ready. Inline so a scan's
+     * not-Ready exit is one probe touch and one compare — no call.
+     */
+    bool
+    beginProcessing()
+    {
+        gmc::Probe::instance().touch(gmc::ProbeKind::Slot, gsanId_);
+        if (state_ != SlotState::Ready)
+            return false;
+        takeReady();
+        return true;
+    }
 
     /**
      * CPU: deposit the result. Blocking requests go to Finished and
@@ -136,6 +149,9 @@ class SyscallSlot
     std::int64_t racyPeekResult() const;
 
   private:
+    /** beginProcessing()'s Ready exit: gsan acquire, Ready->Processing. */
+    void takeReady();
+
     /**
      * The FSM invariant checker (tentpole): every state change funnels
      * through here and is validated against Fig 6, so an injected
@@ -173,8 +189,20 @@ class SyscallArea
                 const GenesysParams &params);
 
     /** Slot for a hardware work-item (wave slot x 64 + lane). */
-    SyscallSlot &slot(std::uint32_t hw_item_slot);
-    const SyscallSlot &slot(std::uint32_t hw_item_slot) const;
+    SyscallSlot &
+    slot(std::uint32_t hw_item_slot)
+    {
+        GENESYS_ASSERT(hw_item_slot < slots_.size(),
+                       "slot %u out of range", hw_item_slot);
+        return slots_[hw_item_slot];
+    }
+    const SyscallSlot &
+    slot(std::uint32_t hw_item_slot) const
+    {
+        GENESYS_ASSERT(hw_item_slot < slots_.size(),
+                       "slot %u out of range", hw_item_slot);
+        return slots_[hw_item_slot];
+    }
 
     /** Modeled address of the slot's cache line. */
     mem::Addr slotAddr(std::uint32_t hw_item_slot) const;

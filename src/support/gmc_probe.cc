@@ -14,13 +14,6 @@ namespace genesys::gmc
 
 using logging::format;
 
-Probe &
-Probe::instance()
-{
-    static Probe probe;
-    return probe;
-}
-
 std::vector<ProbeKey>
 Probe::drain()
 {

@@ -51,8 +51,14 @@ probeKey(ProbeKind kind, std::uint64_t id)
 class Probe
 {
   public:
-    /** Process-global instance shared by all instrumented sites. */
-    static Probe &instance();
+    /** Process-global instance shared by all instrumented sites
+     *  (inline: the slot scan touches it once per slot). */
+    static Probe &
+    instance()
+    {
+        static Probe probe;
+        return probe;
+    }
 
     void setEnabled(bool on)
     {

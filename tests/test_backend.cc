@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "core/system.hh"
+#include "osk/file.hh"
 #include "osk/workqueue.hh"
+#include "support/gmc_probe.hh"
 #include "support/logging.hh"
 
 namespace genesys::core
@@ -238,6 +241,137 @@ TEST(Backend, DaemonIgnoresDoorbellsWhileRunning)
     // Doorbells rang but the daemon backend swallowed them all.
     EXPECT_EQ(interrupts_at_finish, 0u);
     EXPECT_GT(sys.host().processedSyscalls(), 0u);
+    EXPECT_EQ(sys.host().daemonScansLive(), 0u);
+}
+
+// ------------------------------------------------- take/serve scans
+
+/** Publish a non-blocking getpid into slot @p item. */
+void
+publishReady(System &sys, std::uint32_t item)
+{
+    SyscallSlot &slot = sys.syscallArea().slot(item);
+    ASSERT_TRUE(slot.claim());
+    slot.publish(osk::sysno::getpid, osk::SyscallArgs{}, false,
+                 WaitMode::Polling,
+                 item / sys.syscallArea().wavefrontSize());
+}
+
+/** Slot ids among the probe's drained footprint keys. */
+std::vector<std::uint64_t>
+slotTouches(const std::vector<gmc::ProbeKey> &keys)
+{
+    std::vector<std::uint64_t> out;
+    for (const gmc::ProbeKey k : keys)
+        if (k >> 56 == static_cast<std::uint64_t>(gmc::ProbeKind::Slot))
+            out.push_back(k & 0x00FF'FFFF'FFFF'FFFFull);
+    return out;
+}
+
+std::vector<std::uint64_t>
+idRange(std::uint64_t first, std::uint64_t count)
+{
+    std::vector<std::uint64_t> out(count);
+    std::iota(out.begin(), out.end(), first);
+    return out;
+}
+
+TEST(Backend, DaemonSweepTouchesEverySlotAndServesReadyOnce)
+{
+    System sys(shardedConfig(1));
+    const std::uint32_t ready = 5 * 64 + 17;
+    publishReady(sys, ready);
+    auto &probe = gmc::Probe::instance();
+    probe.setEnabled(true);
+    sys.host().startPollingDaemon(ticks::us(20));
+    // Step until the first sweep ends; the next starts 2 us later.
+    while (sys.host().batches() == 0)
+        sys.run(sys.sim().now() + ticks::ns(100));
+    const auto touched = slotTouches(probe.drain());
+    probe.setEnabled(false);
+    EXPECT_EQ(sys.host().batches(), 1u);
+    EXPECT_EQ(sys.host().processedSyscalls(), 1u);
+    sys.host().stopDaemon();
+    sys.run();
+
+    const SyscallArea &area = sys.syscallArea();
+    // Skipping an empty slot frame-free still records its visit.
+    EXPECT_EQ(touched, idRange(area.shardFirstSlot(0),
+                               area.shardSlotCount()));
+    EXPECT_EQ(sys.host().processedSyscalls(), 1u);
+    // claim, publish, take, complete: served once, then freed.
+    EXPECT_EQ(area.slot(ready).transitions(), 4u);
+    EXPECT_TRUE(area.quiescent());
+}
+
+TEST(Backend, WaveScanTouchesEveryLaneAndServesReadyOnce)
+{
+    System sys(shardedConfig(1));
+    const std::uint32_t wave = 3;
+    const std::uint32_t lanes = sys.syscallArea().wavefrontSize();
+    ASSERT_EQ(lanes, 64u);
+    publishReady(sys, wave * lanes + 40);
+    auto &probe = gmc::Probe::instance();
+    probe.setEnabled(true);
+    int handled = -1;
+    sys.sim().spawn([](System &s, std::uint32_t w,
+                       int &out) -> sim::Task<> {
+        out = co_await s.host().serviceCore().serviceWaveSlots(
+            w, gsan::Sanitizer::kNoThread);
+    }(sys, wave, handled));
+    sys.run();
+    const auto touched = slotTouches(probe.drain());
+    probe.setEnabled(false);
+
+    EXPECT_EQ(handled, 1);
+    EXPECT_EQ(touched, idRange(wave * lanes, lanes));
+    EXPECT_EQ(sys.host().processedSyscalls(), 1u);
+    EXPECT_EQ(sys.syscallArea().slot(wave * lanes + 40).transitions(),
+              4u);
+    EXPECT_TRUE(sys.syscallArea().quiescent());
+}
+
+/**
+ * Hundreds of mostly-empty sweeps over the default 20 480-slot area.
+ * Each sweep visits every slot without suspending; when an empty
+ * visit resumed a coroutine, unoptimized (Debug/ASan) builds nested
+ * those resumptions on the stack until it overflowed.
+ */
+TEST(Backend, DaemonSweepsOverDefaultAreaStayShallow)
+{
+    System sys;
+    ASSERT_EQ(sys.syscallArea().slotCount(), 20480u);
+    sys.kernel().vfs().createFile("/sweep")->setSynthetic(1 << 20);
+    std::int64_t fd = -1;
+    sys.sim().spawn([](System &s, std::int64_t &out) -> sim::Task<> {
+        out = co_await s.kernel().doSyscall(
+            s.process(), osk::sysno::open,
+            osk::makeArgs("/sweep", osk::O_RDONLY));
+    }(sys, fd));
+    sys.run();
+    ASSERT_GE(fd, 0);
+    sys.host().startPollingDaemon(ticks::us(5));
+
+    std::int64_t read_bytes = 0;
+    gpu::KernelLaunch k;
+    k.workItems = 4 * 64;
+    k.wgSize = 64;
+    k.program = [&sys, &fd,
+                 &read_bytes](gpu::WavefrontCtx &ctx) -> sim::Task<> {
+        co_await ctx.compute(50000 * (ctx.workgroupId() + 1));
+        read_bytes += co_await sys.gpuSys().pread(
+            ctx, wgInv(), static_cast<int>(fd), nullptr, 4096,
+            ctx.workgroupId() * 4096);
+    };
+    sys.launchGpu(std::move(k));
+    sys.run(sys.sim().now() + ticks::ms(2));
+    sys.host().stopDaemon();
+    sys.run();
+
+    EXPECT_GE(sys.host().batches(), 200u);
+    EXPECT_EQ(sys.host().processedSyscalls(), 4u);
+    EXPECT_EQ(read_bytes, 4 * 4096);
+    EXPECT_TRUE(sys.syscallArea().quiescent());
     EXPECT_EQ(sys.host().daemonScansLive(), 0u);
 }
 
