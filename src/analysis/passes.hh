@@ -35,7 +35,8 @@
  *
  * 4. Token rules (tokenrules.cc), selected with `ordering`: banned
  *    identifiers outside file allowlists (`doorbell-callers`,
- *    `segment-loan`, `raw-rand`, `wall-clock`, `raw-counter-access`),
+ *    `segment-loan`, `raw-rand`, `wall-clock`, `raw-counter-access`,
+ *    `mutant-scope`),
  *    `slot-state`, `unordered-iteration`, `coawait-owning-lambda`
  *    and the cross-file `sysno-classified` census check.
  */

@@ -980,6 +980,16 @@ clampedForward(const SyscallArgs &args)
     lint("token-ring-counter-allow-escape", "src/core/x.cc",
          "auto h = r.headRaw_; // gstat: allow(raw-counter-access)",
          {}, 1);
+    lint("token-mutant-scope-in-service-path",
+         "src/core/backend/service_core.cc",
+         "void f() { const mutant::Scope s({Mutant::RacyConsume}); }",
+         {{"mutant-scope", 1}});
+    lint("token-mutant-scope-in-gmc-runner-ok", "src/core/gmc.cc",
+         "void f(const McConfig &mc) "
+         "{ const mutant::Scope planted(mc.mutants); }",
+         {});
+    lint("token-mutant-query-ok", "src/core/client.cc",
+         "bool f() { return mutant::on(Mutant::RacyConsume); }", {});
     lint("token-readsegments-outside-the-audited-loan-paths",
          "src/core/x.cc",
          "sim::Task<> f(osk::TcpSocket *s, osk::NetSeg *o) "

@@ -126,6 +126,12 @@ const std::vector<BannedTokens> kBannedTokens = {
      "raw ring counter; only the core/ring.hh acquire/release "
      "accessors (loadHeadAcquire / storeTailRelease / ...) may touch "
      "it"},
+    {"mutant-scope",
+     {{"mutant", "::", "Scope"}},
+     {"support/mutant.hh", "core/gmc.cc"},
+     "seeded protocol bugs are planted only by the gmc scenario "
+     "runner (and tests); production paths never open a "
+     "mutant::Scope"},
 };
 
 /// One finding per banned-token rule per line.

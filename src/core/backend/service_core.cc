@@ -10,6 +10,7 @@
 #include "sim/sync.hh"
 #include "support/gsan.hh"
 #include "support/logging.hh"
+#include "support/mutant.hh"
 #include "support/trace.hh"
 
 namespace genesys::core
@@ -136,24 +137,18 @@ ServiceCore::serve(SyscallSlot &slot, std::uint32_t servicer,
     const std::uint32_t requester = slot.hwWaveSlot();
     if (san)
         gsan_->setActor(servicer);
-    if (wake && params_.gsanTest.wakeBeforeComplete) {
-        // Seeded bug (gmc mutant): wake the halted requester before
-        // the result lands, yielding so the woken wave can observe the
-        // still-Processing slot and halt again — the complete() below
-        // then finishes into a wave nobody will ever wake.
+    const bool wake_early =
+        wake && mutant::on(Mutant::WakeBeforeComplete);
+    if (wake_early) {
         gpu_.resumeWave(requester);
         co_await sim::Delay(kernel_.sim().events(), 0);
         if (san)
             gsan_->setActor(servicer);
-        slot.complete(ret);
-        ++processed_;
-        area_.noteProcessed(area_.shardOfWave(requester));
-        co_return;
     }
     slot.complete(ret);
     ++processed_;
     area_.noteProcessed(area_.shardOfWave(requester));
-    if (wake)
+    if (wake && !wake_early)
         gpu_.resumeWave(requester);
 }
 
@@ -187,11 +182,8 @@ ServiceCore::tryPopRingEntry(std::uint32_t shard,
         return std::nullopt;
     if (sanitizing(servicer))
         gsan_->setActor(servicer);
-    if (params_.gsanTest.ringRacySqConsume) {
-        // Seeded bug: read the entry without the consume acquire,
-        // so the producer's publish is not ordered before it.
+    if (mutant::on(Mutant::RingRacySqConsume))
         (void)sq.racyPeekEntry();
-    }
     return sq.popHead();
 }
 
@@ -207,14 +199,10 @@ ServiceCore::serviceRingEntry(std::uint32_t shard,
     const std::uint32_t lane = item_slot % area_.wavefrontSize();
     const bool was_blocking = slot.blocking();
 
-    const bool posted_early = params_.gsanTest.ringCompleteBeforePublish &&
-                              slot.ready() && was_blocking;
+    const bool posted_early =
+        mutant::on(Mutant::RingCompleteBeforePublish) && slot.ready() &&
+        was_blocking;
     if (posted_early) {
-        // Seeded bug (gmc mutant): post the completion event and
-        // yield BEFORE servicing the entry. A polling waiter that
-        // observes the tail advance re-sweeps once, finds the slot
-        // unfinished, and (eliding identical counter reads) never
-        // sweeps again.
         if (san)
             gsan_->setActor(servicer);
         postCompletion(shard, item_slot);

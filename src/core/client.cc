@@ -11,6 +11,7 @@
 #include "support/gmc_probe.hh"
 #include "support/gsan.hh"
 #include "support/logging.hh"
+#include "support/mutant.hh"
 #include "support/trace.hh"
 
 namespace genesys::core
@@ -99,14 +100,8 @@ GpuSyscalls::ringSubmit(gpu::WavefrontCtx &ctx,
         const std::uint32_t chunk =
             std::min(n - submitted, sq.capacity());
 
-        // Seeded bug (gmc mutant): sample the SQ occupancy up front
-        // and assume a non-empty ring means someone else's doorbell
-        // will cover this batch. The sample is stale by publish time;
-        // if the consumer drains the observed entries and goes idle
-        // during our claim/populate window, the batch is stranded.
-        bool skip_doorbell = false;
-        if (params_.gsanTest.ringDropDoorbell)
-            skip_doorbell = !sq.empty();
+        const bool skip_doorbell =
+            mutant::on(Mutant::RingDropDoorbell) && !sq.empty();
 
         // Claim: a timed read of the SQ counter line, then a CAS-style
         // reservation against the observed head. On failure re-read
@@ -121,10 +116,7 @@ GpuSyscalls::ringSubmit(gpu::WavefrontCtx &ctx,
             }
             ++ringFullRetries_;
             co_await ctx.compute(params_.pollIntervalCycles);
-            if (!params_.gsanTest.ringStaleHead) {
-                // Seeded bug (gmc mutant) skips this refresh: the
-                // cached head never observes the consumer freeing
-                // space, so a full-looking SQ spins forever.
+            if (!mutant::on(Mutant::RingStaleHead)) {
                 co_await gpu_.accessLine(addr,
                                          gpu_.config().atomicCmpSwap);
                 head = sq.loadHeadAcquire();
@@ -188,11 +180,8 @@ GpuSyscalls::waitSlots(
             if (slot.finished()) {
                 if (sanOn())
                     sanActor(ctx);
-                if (params_.gsanTest.racyConsume) {
-                    // Seeded bug: touch the result payload before the
-                    // consume() acquire pairs with the CPU's release.
+                if (mutant::on(Mutant::RacyConsume))
                     (void)slot.racyPeekResult();
-                }
                 const std::int64_t ret = slot.consume();
                 outstanding &= ~(1ull << lane);
                 if (on_result)
@@ -254,12 +243,8 @@ GpuSyscalls::waitSlots(
             co_await sweep_finished(false);
             if (outstanding == 0)
                 break;
-            if (params_.gsanTest.haltGapCycles > 0) {
-                // Seeded bug: open a window between the sweep and the
-                // halt, so a CPU wake can fire into a running wave and
-                // evaporate.
-                co_await ctx.compute(params_.gsanTest.haltGapCycles);
-            }
+            if (mutant::on(Mutant::HaltGap))
+                co_await ctx.compute(mutant::kHaltGapCycles);
             co_await ctx.halt();
         }
     }
@@ -275,14 +260,8 @@ GpuSyscalls::issueOnce(gpu::WavefrontCtx &ctx, Invocation inv,
 
     co_await claimSlot(ctx, item_slot);
     co_await sim::Delay(ctx.sim().events(), params_.perLanePopulate);
-    if (!params_.useRings && params_.gsanTest.doorbellBeforePublish) {
-        // Seeded bug (gmc mutant): ring the doorbell before the slot
-        // is published. Under FIFO tie-breaking the publish still wins
-        // the race against the interrupt pipeline, but an adversarial
-        // schedule services the wave while the slot is Populating,
-        // stranding the request.
+    if (!params_.useRings && mutant::on(Mutant::DoorbellBeforePublish))
         gpu_.sendInterrupt(ctx.hwWaveSlot());
-    }
     if (params_.useRings) {
         // Ring mode: the slot payload is plain stores into space this
         // lane exclusively claimed — the SQ tail release (+ one
@@ -309,15 +288,12 @@ GpuSyscalls::issueOnce(gpu::WavefrontCtx &ctx, Invocation inv,
         // doorbell rings once per batch inside ringSubmit.
         const std::uint32_t batch[1] = {item_slot};
         co_await ringSubmit(ctx, batch, 1);
-    } else if (!params_.gsanTest.doorbellBeforePublish) {
+    } else if (!mutant::on(Mutant::DoorbellBeforePublish)) {
         gpu_.sendInterrupt(ctx.hwWaveSlot());
     }
 
-    if (params_.gsanTest.racyPeekBeforeFinished &&
+    if (mutant::on(Mutant::RacyPeekBeforeFinished) &&
         inv.blocking == Blocking::Blocking) {
-        // Seeded bug: read the result payload right after publishing,
-        // without waiting for the Finished state. gsan reports the
-        // race when the CPU's result write lands.
         if (sanOn())
             sanActor(ctx);
         (void)slot.racyPeekResult();
@@ -409,10 +385,8 @@ GpuSyscalls::invokeWorkGroup(gpu::WavefrontCtx &ctx,
     const bool bar_after =
         inv.ordering == Ordering::Strong || inv.role == Role::Producer;
 
-    // Section V barrier-placement contract; the gsanTest skip flags
-    // re-introduce the bug of omitting a required barrier so the
-    // sanitizer's ordering checker can be tested end to end.
-    if (bar_before && !params_.gsanTest.skipPreBarrier)
+    // Section V barrier-placement contract.
+    if (bar_before && !mutant::on(Mutant::SkipPreBarrier))
         co_await ctx.wgBarrier();
     if (sanOn()) {
         gsan_->invocationBegin(gsan_->waveThread(ctx.hwWaveSlot()),
@@ -437,7 +411,7 @@ GpuSyscalls::invokeWorkGroup(gpu::WavefrontCtx &ctx,
                              bar_after, sysno,
                              orderingName(inv.ordering));
     }
-    if (bar_after && !params_.gsanTest.skipPostBarrier)
+    if (bar_after && !mutant::on(Mutant::SkipPostBarrier))
         co_await ctx.wgBarrier();
     co_return ret;
 }

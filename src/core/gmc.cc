@@ -154,6 +154,70 @@ runWave(System &sys, const McConfig mc,
                                  std::move(onResult));
 }
 
+/**
+ * Run @p sys (its tie-breaker installed) under the per-run budgets
+ * with the footprint probe on, then apply the shared oracles: panic,
+ * stuck (budget exhausted, or tasks beyond the @p idle_tasks service
+ * loops still suspended), gsan and per-shard quiescence. @p run names
+ * the run and @p lost the likely cause of a stuck one in the detail.
+ * @return true when @p out records a violation.
+ */
+bool
+runUnderOracles(System &sys, std::size_t idle_tasks, const char *run,
+                const char *lost, sim::gmc::RunOutcome &out)
+{
+    auto &probe = genesys::gmc::Probe::instance();
+    probe.setEnabled(true);
+    (void)probe.drain(); // discard pre-run (deterministic) touches
+
+    bool panicked = false;
+    std::string what;
+    try {
+        sys.run(kHorizon, kMaxEventsPerRun);
+    } catch (const std::exception &e) {
+        panicked = true;
+        what = e.what();
+    }
+    probe.setEnabled(false);
+    sys.sim().events().setTieBreaker(nullptr);
+
+    out.endTick = sys.sim().now();
+    out.events = sys.sim().events().executedEvents();
+    auto violated = [&out](const char *kind, std::string detail) {
+        out.violation = true;
+        out.kind = kind;
+        out.detail = std::move(detail);
+        return true;
+    };
+    if (panicked)
+        return violated("panic", what);
+    if (!sys.sim().events().empty()) {
+        return violated(
+            "stuck",
+            format("%s exceeded its budget (%llu events, tick %llu): "
+                   "livelock or starvation",
+                   run, static_cast<unsigned long long>(out.events),
+                   static_cast<unsigned long long>(out.endTick)));
+    }
+    if (sys.sim().liveTasks() > idle_tasks) {
+        return violated(
+            "stuck",
+            format("%zu task(s) beyond the %zu idle service loops still "
+                   "suspended with a drained event queue: %s or deadlock",
+                   sys.sim().liveTasks() - idle_tasks, idle_tasks, lost));
+    }
+    if (sys.gsan().reportCount() != 0)
+        return violated("gsan", sys.gsan().renderReports());
+    for (std::uint32_t s = 0; s < sys.syscallArea().shardCount(); ++s) {
+        if (!sys.syscallArea().quiescent(s)) {
+            return violated(
+                "quiescence",
+                format("shard %u has non-Free slots after drain", s));
+        }
+    }
+    return false;
+}
+
 } // namespace
 
 std::string
@@ -170,7 +234,7 @@ McConfig::name() const
                areaShards, workers, groups);
     if (useRings)
         base += format("-ring%u", ringEntries);
-    if (lostEdge)
+    if (mutants.has(Mutant::LostEdge))
         base += "-etlost";
     return base;
 }
@@ -314,7 +378,6 @@ collapsedConfig(const McConfig &mc)
     gp.pollIntervalCycles = 1;
     gp.perLanePopulate = 0;
     gp.l1FlushCost = 0;
-    gp.gsanTest = mc.hooks;
     return cfg;
 }
 
@@ -324,8 +387,7 @@ scenario(const McConfig &mc)
     return [mc](sim::gmc::ScheduleDriver &driver)
                -> sim::gmc::RunOutcome {
         sim::gmc::RunOutcome out;
-        auto &probe = genesys::gmc::Probe::instance();
-
+        const mutant::Scope planted(mc.mutants);
         System sys(collapsedConfig(mc));
         osk::RegularFile *file =
             sys.kernel().vfs().createFile("/gmc/data");
@@ -352,66 +414,8 @@ scenario(const McConfig &mc)
                           shared](gpu::WavefrontCtx &ctx)
             -> sim::Task<> { return runWave(sys, mc, shared, ctx); };
         sys.launchGpuAndDrain(std::move(launch));
-
-        probe.setEnabled(true);
-        (void)probe.drain(); // discard pre-run (deterministic) touches
-
-        bool panicked = false;
-        std::string what;
-        try {
-            sys.run(kHorizon, kMaxEventsPerRun);
-        } catch (const std::exception &e) {
-            panicked = true;
-            what = e.what();
-        }
-        probe.setEnabled(false);
-        sys.sim().events().setTieBreaker(nullptr);
-
-        out.endTick = sys.sim().now();
-        out.events = sys.sim().events().executedEvents();
-
-        if (panicked) {
-            out.violation = true;
-            out.kind = "panic";
-            out.detail = what;
+        if (runUnderOracles(sys, idleTasks, "run", "lost wakeup", out))
             return out;
-        }
-        if (!sys.sim().events().empty()) {
-            out.violation = true;
-            out.kind = "stuck";
-            out.detail = format(
-                "run exceeded its budget (%llu events, tick %llu): "
-                "livelock or starvation",
-                static_cast<unsigned long long>(out.events),
-                static_cast<unsigned long long>(out.endTick));
-            return out;
-        }
-        if (sys.sim().liveTasks() > idleTasks) {
-            out.violation = true;
-            out.kind = "stuck";
-            out.detail = format(
-                "%zu task(s) beyond the %zu idle service loops still "
-                "suspended with a drained event queue: lost wakeup "
-                "or deadlock",
-                sys.sim().liveTasks() - idleTasks, idleTasks);
-            return out;
-        }
-        if (sys.gsan().reportCount() != 0) {
-            out.violation = true;
-            out.kind = "gsan";
-            out.detail = sys.gsan().renderReports();
-            return out;
-        }
-        for (std::uint32_t s = 0; s < sys.syscallArea().shardCount();
-             ++s) {
-            if (!sys.syscallArea().quiescent(s)) {
-                out.violation = true;
-                out.kind = "quiescence";
-                out.detail = format(
-                    "shard %u has non-Free slots after drain", s);
-                return out;
-            }
-        }
         if (sys.syscallArea().ringsEnabled() &&
             !sys.syscallArea().ringsIdle()) {
             out.violation = true;
@@ -550,6 +554,7 @@ netScenario(const McConfig &mc)
     return [mc](sim::gmc::ScheduleDriver &driver)
                -> sim::gmc::RunOutcome {
         sim::gmc::RunOutcome out;
+        const mutant::Scope planted(mc.mutants);
         System sys(collapsedConfig(mc));
         auto ns = std::make_shared<NetShared>();
         sys.gsan().setEnabled(true);
@@ -585,67 +590,9 @@ netScenario(const McConfig &mc)
         };
         sys.launchGpuAndDrain(std::move(launch));
         sys.sim().spawn(runNetClient(sys, ns));
-
-        auto &probe = genesys::gmc::Probe::instance();
-        probe.setEnabled(true);
-        (void)probe.drain(); // discard pre-run (deterministic) touches
-
-        bool panicked = false;
-        std::string what;
-        try {
-            sys.run(kHorizon, kMaxEventsPerRun);
-        } catch (const std::exception &e) {
-            panicked = true;
-            what = e.what();
-        }
-        probe.setEnabled(false);
-        sys.sim().events().setTieBreaker(nullptr);
-
-        out.endTick = sys.sim().now();
-        out.events = sys.sim().events().executedEvents();
-
-        if (panicked) {
-            out.violation = true;
-            out.kind = "panic";
-            out.detail = what;
+        if (runUnderOracles(sys, idleTasks, "net run",
+                            "lost epoll wakeup", out))
             return out;
-        }
-        if (!sys.sim().events().empty()) {
-            out.violation = true;
-            out.kind = "stuck";
-            out.detail = format(
-                "net run exceeded its budget (%llu events, tick "
-                "%llu): livelock or starvation",
-                static_cast<unsigned long long>(out.events),
-                static_cast<unsigned long long>(out.endTick));
-            return out;
-        }
-        if (sys.sim().liveTasks() > idleTasks) {
-            out.violation = true;
-            out.kind = "stuck";
-            out.detail = format(
-                "%zu task(s) beyond the %zu idle service loops still "
-                "suspended with a drained event queue: lost epoll "
-                "wakeup or deadlock",
-                sys.sim().liveTasks() - idleTasks, idleTasks);
-            return out;
-        }
-        if (sys.gsan().reportCount() != 0) {
-            out.violation = true;
-            out.kind = "gsan";
-            out.detail = sys.gsan().renderReports();
-            return out;
-        }
-        for (std::uint32_t s = 0; s < sys.syscallArea().shardCount();
-             ++s) {
-            if (!sys.syscallArea().quiescent(s)) {
-                out.violation = true;
-                out.kind = "quiescence";
-                out.detail = format(
-                    "shard %u has non-Free slots after drain", s);
-                return out;
-            }
-        }
 
         // Connect-retry style counters (segs sent, refused) are
         // schedule-dependent in general; the digest keeps the
@@ -812,11 +759,10 @@ etNetScenario(const McConfig &mc)
     return [mc](sim::gmc::ScheduleDriver &driver)
                -> sim::gmc::RunOutcome {
         sim::gmc::RunOutcome out;
+        const mutant::Scope planted(mc.mutants);
         System sys(collapsedConfig(mc));
         auto es = std::make_shared<EtShared>();
         sys.gsan().setEnabled(true);
-        if (mc.lostEdge)
-            sys.kernel().epoll().setTestLostEdge(true);
 
         // Listener bound under FIFO order before the tie-breaker is
         // installed (see netScenario).
@@ -848,67 +794,9 @@ etNetScenario(const McConfig &mc)
         };
         sys.launchGpuAndDrain(std::move(launch));
         sys.sim().spawn(runEtClient(sys, es));
-
-        auto &probe = genesys::gmc::Probe::instance();
-        probe.setEnabled(true);
-        (void)probe.drain(); // discard pre-run (deterministic) touches
-
-        bool panicked = false;
-        std::string what;
-        try {
-            sys.run(kHorizon, kMaxEventsPerRun);
-        } catch (const std::exception &e) {
-            panicked = true;
-            what = e.what();
-        }
-        probe.setEnabled(false);
-        sys.sim().events().setTieBreaker(nullptr);
-
-        out.endTick = sys.sim().now();
-        out.events = sys.sim().events().executedEvents();
-
-        if (panicked) {
-            out.violation = true;
-            out.kind = "panic";
-            out.detail = what;
+        if (runUnderOracles(sys, idleTasks, "ET net run",
+                            "lost readiness edge", out))
             return out;
-        }
-        if (!sys.sim().events().empty()) {
-            out.violation = true;
-            out.kind = "stuck";
-            out.detail = format(
-                "ET net run exceeded its budget (%llu events, tick "
-                "%llu): livelock or starvation",
-                static_cast<unsigned long long>(out.events),
-                static_cast<unsigned long long>(out.endTick));
-            return out;
-        }
-        if (sys.sim().liveTasks() > idleTasks) {
-            out.violation = true;
-            out.kind = "stuck";
-            out.detail = format(
-                "%zu task(s) beyond the %zu idle service loops still "
-                "suspended with a drained event queue: lost readiness "
-                "edge or deadlock",
-                sys.sim().liveTasks() - idleTasks, idleTasks);
-            return out;
-        }
-        if (sys.gsan().reportCount() != 0) {
-            out.violation = true;
-            out.kind = "gsan";
-            out.detail = sys.gsan().renderReports();
-            return out;
-        }
-        for (std::uint32_t s = 0; s < sys.syscallArea().shardCount();
-             ++s) {
-            if (!sys.syscallArea().quiescent(s)) {
-                out.violation = true;
-                out.kind = "quiescence";
-                out.detail = format(
-                    "shard %u has non-Free slots after drain", s);
-                return out;
-            }
-        }
 
         // Edge counts can legally vary across schedules (a ping split
         // across wire deliveries yields an extra drained-then-risen
@@ -961,21 +849,13 @@ sim::gmc::ExploreResult
 exploreRingConfig(const McConfig &mc,
                   const sim::gmc::ExploreOptions &opts)
 {
-    McConfig ring = mc;
-    ring.useRings = true;
-    if (ring.ringEntries == 0)
-        ring.ringEntries = 1;
-    return sim::gmc::explore(scenario(ring), opts);
+    return sim::gmc::explore(ringScenario(mc), opts);
 }
 
 sim::gmc::RunOutcome
 replayRingConfig(const McConfig &mc, const sim::gmc::Schedule &schedule)
 {
-    McConfig ring = mc;
-    ring.useRings = true;
-    if (ring.ringEntries == 0)
-        ring.ringEntries = 1;
-    return sim::gmc::replay(scenario(ring), schedule);
+    return sim::gmc::replay(ringScenario(mc), schedule);
 }
 
 sim::gmc::RunOutcome

@@ -37,6 +37,7 @@
 #include "core/client.hh"
 #include "core/system.hh"
 #include "sim/explore.hh"
+#include "support/mutant.hh"
 
 namespace genesys::core::gmc
 {
@@ -60,18 +61,15 @@ struct McConfig
     /// claim-full / publish-order contention paths reachable under
     /// exhaustive exploration while the clean protocol stays live.
     std::uint32_t ringEntries = 1;
-    /// Seeded protocol mutants (all off = the shipped protocol).
-    GenesysParams::GsanTestHooks hooks{};
-    /// Seeded epoll mutant (EpollSystem::setTestLostEdge): the first
-    /// readiness transition is observed but never latched as pending.
-    /// Only meaningful for scenarios with edge-triggered interests
-    /// (etNetScenario) — level-triggered waiters re-probe and never
-    /// notice.
-    bool lostEdge = false;
+    /// Seeded mutants, planted by a mutant::Scope around each schedule
+    /// (empty = the shipped protocol). Mutant::LostEdge only shows in
+    /// scenarios with edge-triggered interests (etNetScenario):
+    /// level-triggered waiters re-probe and never notice.
+    mutant::Set mutants;
 
     /** Stable identifier, e.g. "wg-strong-block-poll-1x1g1"
-     *  ("-ring<E>" appended in ring mode, "-etlost" with the seeded
-     *  lost-edge mutant). */
+     *  ("-ring<E>" appended in ring mode, "-etlost" with
+     *  Mutant::LostEdge). */
     std::string name() const;
 };
 
@@ -131,7 +129,7 @@ sim::gmc::RunOutcome replayNetConfig(const McConfig &mc,
  * uses. The client pings twice with an echo read in between, so the
  * level drops to zero between pings and the server must see two
  * distinct readiness edges (plus a third for the client's FIN). With
- * mc.lostEdge the EpollSystem drops the first recorded edge on the
+ * Mutant::LostEdge the EpollSystem drops the first recorded edge on the
  * floor; under the strict-ET contract no later send can re-derive it
  * (data arriving on a non-empty chain is not a transition), so the
  * server sleeps in epoll_wait forever and every schedule — including

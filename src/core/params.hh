@@ -100,60 +100,6 @@ struct GenesysParams
     /// doubles per consecutive retry.
     std::uint32_t eagainMaxRetries = 8;
     std::uint64_t eagainBackoffCycles = 1024;
-
-    /**
-     * gsan adversarial test hooks: each deliberately re-introduces a
-     * synchronization bug the paper's protocol exists to prevent, so
-     * the sanitizer's detectors can be regression-tested end to end.
-     * All default off; production paths never set them.
-     */
-    struct GsanTestHooks
-    {
-        /// Drop the required pre-invocation work-group barrier.
-        bool skipPreBarrier = false;
-        /// Drop the required post-invocation work-group barrier.
-        bool skipPostBarrier = false;
-        /// After publishing a blocking request, immediately read the
-        /// result payload without waiting for Finished.
-        bool racyPeekBeforeFinished = false;
-        /// Consume-side bug: peek the result payload of a finished
-        /// slot without the consume() acquire.
-        bool racyConsume = false;
-        /// HaltResume bug: insert this many compute cycles between the
-        /// final polling sweep and the halt, opening the window where
-        /// the CPU's wake fires into a not-yet-halted wave.
-        std::uint64_t haltGapCycles = 0;
-        /// gmc mutant: ring the shard doorbell (s_sendmsg) before the
-        /// slot publish instead of after. Invisible under FIFO
-        /// tie-breaking; an adversarial schedule services the wave
-        /// while its slot is still Populating and strands the request.
-        bool doorbellBeforePublish = false;
-        /// gmc mutant: deliver the HaltResume wake before depositing
-        /// the result (complete()). The woken wave's sweep finds the
-        /// slot still Processing and halts again — a lost wakeup.
-        bool wakeBeforeComplete = false;
-        /// gmc ring mutant: skip the batch doorbell when the SQ was
-        /// observed non-empty before the claim ("someone else's
-        /// doorbell covers us"). The sample is stale by publish time;
-        /// an adversarial schedule drains the observed entry first and
-        /// strands the batch with no consumer.
-        bool ringDropDoorbell = false;
-        /// gmc ring mutant: post the CQ completion event (and yield)
-        /// before servicing the SQ entry. A polling waiter that
-        /// observes the CQ tail advance re-sweeps once, finds its slot
-        /// unfinished, and never re-sweeps without a further event.
-        bool ringCompleteBeforePublish = false;
-        /// gmc ring mutant: cache the SQ head observation across
-        /// claim retries instead of re-reading the counter line. Once
-        /// the ring looks full the producer spins forever on space the
-        /// consumer has long since freed.
-        bool ringStaleHead = false;
-        /// gsan ring bug: the host reads the oldest SQ entry without
-        /// the consume acquire, so the producer's publish is not
-        /// ordered before the read (ring payload race).
-        bool ringRacySqConsume = false;
-    };
-    GsanTestHooks gsanTest;
 };
 
 } // namespace genesys::core

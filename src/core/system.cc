@@ -67,6 +67,12 @@ System::System(const SystemConfig &config)
     }
 }
 
+System::~System()
+{
+    if (sim_) // moved-from
+        sim_->destroyRoots();
+}
+
 void
 System::installGsanSysfs()
 {

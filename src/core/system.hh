@@ -47,6 +47,11 @@ class System
 {
   public:
     explicit System(const SystemConfig &config = {});
+    /** Destroys still-suspended root tasks before the components
+     *  their frames reference (kernel, GPU, host) go away. */
+    ~System();
+    System(System &&) = default;
+    System &operator=(System &&) = default;
 
     sim::Sim &sim() { return *sim_; }
     osk::Kernel &kernel() { return *kernel_; }

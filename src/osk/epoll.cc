@@ -9,6 +9,7 @@
 
 #include "support/gsan.hh"
 #include "support/logging.hh"
+#include "support/mutant.hh"
 
 namespace genesys::osk
 {
@@ -113,12 +114,7 @@ EpollInstance::recordEdge(Interest &in, std::uint32_t edges)
 {
     if (sys_.gsan_ != nullptr)
         sys_.gsan_->epollEdgeSeen(gsanKey());
-    if (sys_.test_lost_edge_ && !sys_.lost_edge_fired_) {
-        // Seeded bug (gmc mutant): the transition is observed but
-        // never latched — the probe state has already advanced, so no
-        // later noteEvent re-derives it and the consumer sleeps
-        // forever. gsan's edge channel sees the probe without the
-        // matching record.
+    if (mutant::on(Mutant::LostEdge) && !sys_.lost_edge_fired_) {
         sys_.lost_edge_fired_ = true;
         return false;
     }
@@ -187,11 +183,8 @@ EpollInstance::wait(EpollEvent *events, int max_events,
         // below is the lost-wakeup window gsan brackets.
         if (sys_.gsan_ != nullptr)
             sys_.gsan_->epollCheck(gsanKey(), waiter);
-        if (test_sleep_gap_ > 0) {
-            // Seeded bug: suspend inside the window without re-probing,
-            // so a notification landing in the gap is really lost.
-            co_await sim::Delay(sys_.events(), test_sleep_gap_);
-        }
+        if (mutant::on(Mutant::EpollSleepGap))
+            co_await sim::Delay(sys_.events(), mutant::kEpollSleepGap);
         if (sys_.gsan_ != nullptr)
             sys_.gsan_->epollSleep(gsanKey(), waiter);
         if (!infinite && !timer_armed) {

@@ -122,13 +122,6 @@ class EpollInstance
 
     std::size_t interestCount() const { return interests_.size(); }
 
-    /**
-     * Test hook: open a simulated-time gap between the readiness probe
-     * and the sleep *without re-probing* — the seeded lost-wakeup bug
-     * gsan's epoll hooks exist to catch.
-     */
-    void setTestSleepGap(Tick gap) { test_sleep_gap_ = gap; }
-
   private:
     friend class EpollSystem;
 
@@ -186,7 +179,6 @@ class EpollInstance
     std::shared_ptr<sim::WaitQueue> wait_q_;
     /// Waiter cookies currently blocked (for wake fanout accounting).
     std::map<std::uint64_t, std::uint32_t> blocked_;
-    Tick test_sleep_gap_ = 0;
 };
 
 /**
@@ -235,19 +227,6 @@ class EpollSystem
     std::uint64_t edgesRecorded() const { return edgesRecorded_; }
     std::uint64_t edgesDelivered() const { return edgesDelivered_; }
 
-    /**
-     * Test hook (gmc mutant): drop the next readiness edge on the
-     * floor — the probe state advances but no pending bit is recorded,
-     * so an edge-triggered consumer that relies on replayed edges
-     * sleeps forever. gsan's edge channel sees the probe without the
-     * record and reports the loss.
-     */
-    void setTestLostEdge(bool v)
-    {
-        test_lost_edge_ = v;
-        lost_edge_fired_ = false;
-    }
-
   private:
     friend class EpollInstance;
 
@@ -270,7 +249,7 @@ class EpollSystem
     std::uint64_t timeouts_ = 0;
     std::uint64_t edgesRecorded_ = 0;
     std::uint64_t edgesDelivered_ = 0;
-    bool test_lost_edge_ = false;
+    /// Mutant::LostEdge drops only the first edge of each system.
     bool lost_edge_fired_ = false;
 };
 

@@ -15,14 +15,12 @@ namespace genesys::sim
 Sim::RootTask
 Sim::runRoot(Task<> task)
 {
-    ++liveTasks_;
     try {
         co_await std::move(task);
     } catch (...) {
         if (!firstError_)
             firstError_ = std::current_exception();
     }
-    --liveTasks_;
 }
 
 void
@@ -31,6 +29,17 @@ Sim::spawn(Task<> task)
     // The RootTask coroutine is eager: it runs the wrapped task up to
     // its first suspension immediately, then continues via the queue.
     runRoot(std::move(task));
+}
+
+void
+Sim::destroyRoots()
+{
+    // Each destroy() unlinks its frame from roots_.
+    while (roots_ != nullptr) {
+        std::coroutine_handle<RootTask::promise_type>::from_promise(
+            *roots_)
+            .destroy();
+    }
 }
 
 Tick

@@ -5,7 +5,9 @@
  * A Sim owns everything a model needs to run. Root tasks (spawned via
  * spawn()) execute concurrently over the shared event queue; run()
  * drives the queue and rethrows the first exception any root task
- * raised, so test failures inside coroutines surface normally.
+ * raised, so test failures inside coroutines surface normally. Root
+ * tasks still suspended at teardown (perpetual service loops, waves
+ * halted forever) are destroyed with the Sim, never leaked.
  */
 
 #ifndef GENESYS_SIM_SIM_HH
@@ -29,6 +31,10 @@ class Sim
 {
   public:
     explicit Sim(std::uint64_t seed = 1) : random_(seed) {}
+    ~Sim() { destroyRoots(); }
+
+    Sim(const Sim &) = delete;
+    Sim &operator=(const Sim &) = delete;
 
     EventQueue &events() { return eq_; }
     Tick now() const { return eq_.now(); }
@@ -49,6 +55,15 @@ class Sim
     std::size_t liveTasks() const { return liveTasks_; }
 
     /**
+     * Destroy every root task still suspended, newest first, together
+     * with the task chain it awaits. The queue must not run again
+     * afterwards: pending events may still name the destroyed frames.
+     * An owner whose objects the frames reference (System) calls this
+     * before tearing them down; ~Sim calls it last.
+     */
+    void destroyRoots();
+
+    /**
      * Run until the event queue drains or @p limit is reached. When
      * @p max_events is non-zero, additionally stop after that many
      * events (model-checking budget for schedules that never quiesce).
@@ -62,15 +77,38 @@ class Sim
 
   private:
     // Eager, self-destroying wrapper coroutine that owns a root Task.
+    // Its promise links the frame into roots_ for its whole lifetime.
     struct RootTask
     {
         struct promise_type
         {
+            promise_type(Sim &sim, Task<> &) : sim_(sim)
+            {
+                next_ = sim_.roots_;
+                if (next_ != nullptr)
+                    next_->prev_ = this;
+                sim_.roots_ = this;
+                ++sim_.liveTasks_;
+            }
+            ~promise_type()
+            {
+                (prev_ != nullptr ? prev_->next_ : sim_.roots_) = next_;
+                if (next_ != nullptr)
+                    next_->prev_ = prev_;
+                --sim_.liveTasks_;
+            }
+            promise_type(const promise_type &) = delete;
+            promise_type &operator=(const promise_type &) = delete;
+
             RootTask get_return_object() { return {}; }
             std::suspend_never initial_suspend() noexcept { return {}; }
             std::suspend_never final_suspend() noexcept { return {}; }
             void return_void() {}
             void unhandled_exception() { std::terminate(); }
+
+            Sim &sim_;
+            promise_type *prev_ = nullptr;
+            promise_type *next_ = nullptr;
         };
     };
 
@@ -80,6 +118,7 @@ class Sim
     Random random_;
     stats::Registry statsRegistry_;
     std::size_t liveTasks_ = 0;
+    RootTask::promise_type *roots_ = nullptr; ///< newest live root
     std::exception_ptr firstError_;
 };
 

@@ -88,6 +88,36 @@ TEST(System, StatsReportTracksActivity)
     EXPECT_NE(report.find("sim.final_tick"), std::string::npos);
 }
 
+TEST(System, TeardownDestroysSuspendedWavesAndServiceLoops)
+{
+    // A wave that never finishes leaves its GpuDevice::launch root
+    // suspended, and the workqueue worker loops never exit; the
+    // System must destroy those frames (and their locals) with itself.
+    struct DtorCounter
+    {
+        int &count;
+        ~DtorCounter() { ++count; }
+    };
+    int destroyed = 0;
+    {
+        System sys(smallConfig());
+        sim::WaitQueue never(sys.sim().events());
+        gpu::KernelLaunch k;
+        k.workItems = 64;
+        k.wgSize = 64;
+        k.program = [&never, &destroyed](gpu::WavefrontCtx &)
+            -> sim::Task<> {
+            DtorCounter guard{destroyed};
+            co_await never.wait();
+        };
+        sys.launchGpu(std::move(k));
+        sys.run();
+        EXPECT_GT(sys.sim().liveTasks(), 1u);
+        EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 1);
+}
+
 TEST(GenesysEndToEnd, WorkGroupBlockingPwriteWritesFile)
 {
     System sys(smallConfig());

@@ -11,20 +11,6 @@
 #include "core/gmc.hh"
 #include "sim/explore.hh"
 
-// Mutant explorations deliberately produce stuck runs whose suspended
-// coroutine frames are reclaimed only by process exit; waive leak
-// checking around them so the asan CI job stays green.
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define GMC_UNDER_ASAN 1
-#endif
-#elif defined(__SANITIZE_ADDRESS__)
-#define GMC_UNDER_ASAN 1
-#endif
-#ifdef GMC_UNDER_ASAN
-#include <sanitizer/lsan_interface.h>
-#endif
-
 namespace
 {
 
@@ -38,22 +24,6 @@ using sim::gmc::ExploreOptions;
 using sim::gmc::ExploreResult;
 using sim::gmc::RunOutcome;
 using sim::gmc::Schedule;
-
-struct LeakWaiver
-{
-    LeakWaiver()
-    {
-#ifdef GMC_UNDER_ASAN
-        __lsan_disable();
-#endif
-    }
-    ~LeakWaiver()
-    {
-#ifdef GMC_UNDER_ASAN
-        __lsan_enable();
-#endif
-    }
-};
 
 McConfig
 baseConfig(Granularity g, WaitMode wait)
@@ -184,7 +154,6 @@ TEST(GmcClean, BoundedExplorationReportsNonExhaustive)
 void
 expectMutantCaught(McConfig mc, const char *kind)
 {
-    LeakWaiver waiver;
     ExploreOptions opts;
     opts.maxCounterexamples = 1;
     const ExploreResult r = core::gmc::exploreConfig(mc, opts);
@@ -211,13 +180,12 @@ TEST(GmcMutant, DoorbellBeforePublishStrandsRequest)
     // drains before the doorbell's multi-hop delivery. gmc must find
     // an adversarial order that services the still-Populating slot.
     McConfig mc = baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    mc.hooks.doorbellBeforePublish = true;
+    mc.mutants = {Mutant::DoorbellBeforePublish};
 
     // First confirm FIFO really is blind to it — the whole reason a
     // model checker is needed.
     {
-        LeakWaiver waiver;
-        const RunOutcome fifo = core::gmc::replayConfig(mc, {});
+            const RunOutcome fifo = core::gmc::replayConfig(mc, {});
         EXPECT_FALSE(fifo.violation)
             << "FIFO already catches it: " << fifo.kind;
     }
@@ -228,14 +196,14 @@ TEST(GmcMutant, WakeBeforeCompleteLosesWakeup)
 {
     McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::HaltResume);
-    mc.hooks.wakeBeforeComplete = true;
+    mc.mutants = {Mutant::WakeBeforeComplete};
     expectMutantCaught(mc, "stuck");
 }
 
 TEST(GmcMutant, SkipPostBarrierTripsGsan)
 {
     McConfig mc = baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    mc.hooks.skipPostBarrier = true;
+    mc.mutants = {Mutant::SkipPostBarrier};
     expectMutantCaught(mc, "gsan");
 }
 
@@ -247,9 +215,8 @@ TEST(GmcPor, FootprintPorIsHeuristicNotSound)
     // unsoundness that keeps ExploreOptions::por off by default — if
     // POR ever *does* find the mutant, the heuristic got stronger and
     // the documentation (DESIGN.md §11, explore.hh) must be revisited.
-    LeakWaiver waiver;
     McConfig mc = baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    mc.hooks.doorbellBeforePublish = true;
+    mc.mutants = {Mutant::DoorbellBeforePublish};
 
     ExploreOptions exhaustive;
     const ExploreResult full = core::gmc::exploreConfig(mc, exhaustive);
@@ -337,7 +304,7 @@ TEST(GmcEtNet, NameCarriesLostEdgeSuffix)
 {
     McConfig mc = baseConfig(Granularity::WorkGroup, WaitMode::Polling);
     const std::string plain = mc.name();
-    mc.lostEdge = true;
+    mc.mutants = {Mutant::LostEdge};
     EXPECT_EQ(mc.name(), plain + "-etlost");
 }
 
@@ -384,10 +351,9 @@ TEST(GmcEtNet, LostEdgeMutantStrandsServer)
     // schedule — so the value here is the oracle coverage and the
     // replayable counterexample, exercised in the halt/resume wait
     // mode where a lost readiness edge really does strand the wave.
-    LeakWaiver waiver;
     McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::HaltResume);
-    mc.lostEdge = true;
+    mc.mutants = {Mutant::LostEdge};
     ExploreOptions opts;
     opts.maxCounterexamples = 1;
     const ExploreResult r = core::gmc::exploreEtNetConfig(mc, opts);
@@ -417,7 +383,6 @@ TEST(GmcEtNet, LostEdgeMutantStrandsServer)
 void
 expectRingMutantCaught(McConfig mc, const char *kind)
 {
-    LeakWaiver waiver;
     ExploreOptions opts;
     opts.maxCounterexamples = 1;
     const ExploreResult r = core::gmc::exploreRingConfig(mc, opts);
@@ -505,7 +470,7 @@ TEST(GmcRingMutant, DroppedDoorbellStrandsBatch)
     // and go idle before the next chunk publishes — that chunk's
     // doorbell is the only wake-up, and it never rings.
     McConfig mc = baseConfig(Granularity::WorkItem, WaitMode::Polling);
-    mc.hooks.ringDropDoorbell = true;
+    mc.mutants = {Mutant::RingDropDoorbell};
     expectRingMutantCaught(mc, "stuck");
 }
 
@@ -517,11 +482,10 @@ TEST(GmcRingMutant, CompletionBeforePublishStrandsWaiter)
     // the tail advance, re-sweeps a still-unfinished slot, and then
     // elides every later sweep because the tail never moves again.
     McConfig mc = baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    mc.hooks.ringCompleteBeforePublish = true;
+    mc.mutants = {Mutant::RingCompleteBeforePublish};
 
     {
-        LeakWaiver waiver;
-        const RunOutcome fifo = core::gmc::replayRingConfig(mc, {});
+            const RunOutcome fifo = core::gmc::replayRingConfig(mc, {});
         EXPECT_FALSE(fifo.violation)
             << "FIFO already catches it: " << fifo.kind;
     }
@@ -536,7 +500,7 @@ TEST(GmcRingMutant, StaleHeadReadSpinsOnFullRing)
     // before the consumer's pop — retries forever on a ring that is
     // actually empty.
     McConfig mc = baseConfig(Granularity::WorkItem, WaitMode::Polling);
-    mc.hooks.ringStaleHead = true;
+    mc.mutants = {Mutant::RingStaleHead};
     expectRingMutantCaught(mc, "stuck");
 }
 

@@ -21,6 +21,7 @@
 #include "osk/fault.hh"
 #include "osk/file.hh"
 #include "support/gsan.hh"
+#include "support/mutant.hh"
 
 namespace genesys::core
 {
@@ -457,14 +458,11 @@ TEST(GsanEndToEnd, CleanDaemonBackendIsReportFree)
 
 // --------------------------------------- end-to-end: seeded bugs
 
-/** One strong blocking work-group getrusage with @p hooks planted. */
+/** One strong blocking work-group getrusage, two waves. */
 System
-seededRun(GenesysParams::GsanTestHooks hooks,
-          WaitMode w = WaitMode::Polling)
+getrusageRun(WaitMode w = WaitMode::Polling)
 {
-    SystemConfig cfg = smallConfig();
-    cfg.genesys.gsanTest = hooks;
-    System sys(cfg);
+    System sys(smallConfig());
     sys.gsan().setEnabled(true);
     gpu::KernelLaunch k;
     k.workItems = 128; // one work-group, two waves
@@ -482,11 +480,49 @@ seededRun(GenesysParams::GsanTestHooks hooks,
     return sys;
 }
 
+/** getrusageRun() with @p mutants planted. */
+System
+seededRun(mutant::Set mutants, WaitMode w = WaitMode::Polling)
+{
+    const mutant::Scope planted(mutants);
+    return getrusageRun(w);
+}
+
+TEST(GsanSeeded, MutantsEndWithTheirScope)
+{
+    {
+        System bad = seededRun({Mutant::SkipPreBarrier});
+        EXPECT_EQ(bad.gsan().countOf(ReportKind::OrderingViolation),
+                  2u);
+    }
+    // No scope open: the next System runs the shipped protocol.
+    EXPECT_FALSE(mutant::on(Mutant::SkipPreBarrier));
+    System clean = getrusageRun();
+    EXPECT_EQ(clean.gsan().reportCount(), 0u)
+        << clean.gsan().renderReports();
+}
+
+TEST(GsanSeeded, NestedMutantScopesRestoreTheOuterSet)
+{
+    {
+        const mutant::Scope outer(
+            {Mutant::SkipPreBarrier, Mutant::LostEdge});
+        {
+            const mutant::Scope inner({Mutant::RacyConsume});
+            EXPECT_TRUE(mutant::on(Mutant::RacyConsume));
+            EXPECT_FALSE(mutant::on(Mutant::SkipPreBarrier));
+        }
+        EXPECT_TRUE(mutant::on(Mutant::SkipPreBarrier));
+        EXPECT_TRUE(mutant::on(Mutant::LostEdge));
+        EXPECT_FALSE(mutant::on(Mutant::RacyConsume));
+    }
+    EXPECT_FALSE(mutant::on(Mutant::SkipPreBarrier));
+    EXPECT_FALSE(mutant::on(Mutant::LostEdge));
+}
+
 TEST(GsanSeeded, DroppedPreBarrierIsDetected)
 {
-    GenesysParams::GsanTestHooks hooks;
-    hooks.skipPreBarrier = true;
-    System sys = seededRun(hooks);
+    System sys = seededRun({Mutant::SkipPreBarrier});
     // Both waves of the group invoke without the required barrier.
     EXPECT_EQ(sys.gsan().countOf(ReportKind::OrderingViolation), 2u);
     EXPECT_EQ(sys.gsan().countOf(ReportKind::PayloadRace), 0u);
@@ -494,9 +530,7 @@ TEST(GsanSeeded, DroppedPreBarrierIsDetected)
 
 TEST(GsanSeeded, DroppedPostBarrierIsDetectedAtRetire)
 {
-    GenesysParams::GsanTestHooks hooks;
-    hooks.skipPostBarrier = true;
-    System sys = seededRun(hooks);
+    System sys = seededRun({Mutant::SkipPostBarrier});
     EXPECT_EQ(sys.gsan().countOf(ReportKind::OrderingViolation), 2u);
     EXPECT_NE(sys.gsan().renderReports().find("retires"),
               std::string::npos);
@@ -504,10 +538,8 @@ TEST(GsanSeeded, DroppedPostBarrierIsDetectedAtRetire)
 
 TEST(GsanSeeded, DroppedBothBarriersDoubleFlagged)
 {
-    GenesysParams::GsanTestHooks hooks;
-    hooks.skipPreBarrier = true;
-    hooks.skipPostBarrier = true;
-    System sys = seededRun(hooks);
+    System sys =
+        seededRun({Mutant::SkipPreBarrier, Mutant::SkipPostBarrier});
     EXPECT_EQ(sys.gsan().countOf(ReportKind::OrderingViolation), 4u);
 }
 
@@ -515,9 +547,8 @@ TEST(GsanSeeded, RelaxedProducerWithoutPostBarrierIsDetected)
 {
     // The relaxed producer contract is barrier-after only; dropping
     // it must be flagged even though no pre barrier is required.
-    SystemConfig cfg = smallConfig();
-    cfg.genesys.gsanTest.skipPostBarrier = true;
-    System sys(cfg);
+    const mutant::Scope planted({Mutant::SkipPostBarrier});
+    System sys(smallConfig());
     sys.gsan().setEnabled(true);
     gpu::KernelLaunch k;
     k.workItems = 64;
@@ -537,9 +568,7 @@ TEST(GsanSeeded, RelaxedProducerWithoutPostBarrierIsDetected)
 
 TEST(GsanSeeded, PayloadReadBeforeFinishedIsDetected)
 {
-    GenesysParams::GsanTestHooks hooks;
-    hooks.racyPeekBeforeFinished = true;
-    System sys = seededRun(hooks);
+    System sys = seededRun({Mutant::RacyPeekBeforeFinished});
     EXPECT_GE(sys.gsan().countOf(ReportKind::PayloadRace), 1u);
     EXPECT_NE(sys.gsan().renderReports().find("'result'"),
               std::string::npos);
@@ -547,9 +576,7 @@ TEST(GsanSeeded, PayloadReadBeforeFinishedIsDetected)
 
 TEST(GsanSeeded, ConsumeWithoutAcquireIsDetected)
 {
-    GenesysParams::GsanTestHooks hooks;
-    hooks.racyConsume = true;
-    System sys = seededRun(hooks);
+    System sys = seededRun({Mutant::RacyConsume});
     EXPECT_GE(sys.gsan().countOf(ReportKind::PayloadRace), 1u);
     EXPECT_NE(sys.gsan().renderReports().find("Finished"),
               std::string::npos);
@@ -557,11 +584,9 @@ TEST(GsanSeeded, ConsumeWithoutAcquireIsDetected)
 
 TEST(GsanSeeded, HaltAfterWakeFiredIsDetected)
 {
-    GenesysParams::GsanTestHooks hooks;
     // ~130 simulated ms between the final sweep and the halt: the
     // CPU completes and fires its wake into the still-running wave.
-    hooks.haltGapCycles = 100'000'000;
-    System sys = seededRun(hooks, WaitMode::HaltResume);
+    System sys = seededRun({Mutant::HaltGap}, WaitMode::HaltResume);
     EXPECT_GE(sys.gsan().countOf(ReportKind::LostWakeup), 1u);
     EXPECT_NE(sys.gsan().renderReports().find("sleep forever"),
               std::string::npos);
@@ -718,10 +743,10 @@ struct EpollGsanRig
 
 TEST(GsanSeeded, EpollNotifyInsideCheckSleepWindowIsReported)
 {
-    EpollGsanRig rig;
     // Seeded bug: the waiter suspends for 1 ms between its readiness
     // probe and its sleep without re-probing.
-    rig.inst->setTestSleepGap(ticks::ms(1));
+    const mutant::Scope planted({Mutant::EpollSleepGap});
+    EpollGsanRig rig;
 
     osk::EpollEvent evs[2];
     std::int64_t n = -1;
@@ -868,7 +893,7 @@ TEST(GsanRing, SeededRacySqConsumeIsDetected)
 {
     SystemConfig cfg = smallConfig();
     cfg.genesys.useRings = true;
-    cfg.genesys.gsanTest.ringRacySqConsume = true;
+    const mutant::Scope planted({Mutant::RingRacySqConsume});
     System sys(cfg);
     sys.gsan().setEnabled(true);
     gpu::KernelLaunch k;

@@ -23,6 +23,7 @@
 #include "sim/sim.hh"
 #include "support/gsan.hh"
 #include "support/logging.hh"
+#include "support/mutant.hh"
 #include "workloads/gkv.hh"
 
 namespace genesys
@@ -587,7 +588,7 @@ TEST_F(EpollTest, LostEdgeReportedBySanitizer)
     gsan::Sanitizer san;
     san.setEnabled(true);
     ep_.setSanitizer(&san);
-    ep_.setTestLostEdge(true);
+    const mutant::Scope planted({Mutant::LostEdge});
 
     auto [cli, srv] = establish(7114);
     osk::EpollInstance *inst = ep_.instance(ep_.create());

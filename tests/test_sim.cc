@@ -196,6 +196,40 @@ TEST(Task, ConcurrentTasksInterleaveDeterministically)
     EXPECT_EQ(trace, "ababab");
 }
 
+/** Counts its destructions: a frame local that proves teardown. */
+struct DtorCounter
+{
+    int &count;
+    ~DtorCounter() { ++count; }
+};
+
+Task<>
+holdForever(WaitQueue &never, int &destroyed)
+{
+    DtorCounter guard{destroyed};
+    co_await never.wait();
+}
+
+TEST(Task, SimTeardownDestroysSuspendedRootTasks)
+{
+    int destroyed = 0;
+    {
+        Sim sim;
+        WaitQueue never(sim.events());
+        sim.spawn(holdForever(never, destroyed));
+        // A root suspended in a child task: teardown reaches the
+        // whole awaited chain, not just the root frame.
+        sim.spawn([](WaitQueue &q, int &count) -> Task<> {
+            DtorCounter guard{count};
+            co_await holdForever(q, count);
+        }(never, destroyed));
+        sim.run();
+        EXPECT_EQ(sim.liveTasks(), 2u);
+        EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 3);
+}
+
 // ------------------------------------------------------------------- sync
 
 TEST(Sync, WaitQueueWakesInFifoOrder)
