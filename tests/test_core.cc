@@ -15,6 +15,7 @@
 #include "core/system.hh"
 #include "osk/devices.hh"
 #include "support/logging.hh"
+#include "workloads/gkv.hh"
 
 namespace genesys::core
 {
@@ -86,6 +87,244 @@ TEST(System, StatsReportTracksActivity)
               std::string::npos);
     EXPECT_NE(report.find(" 4\n"), std::string::npos);
     EXPECT_NE(report.find("sim.final_tick"), std::string::npos);
+}
+
+/// Every CharDevice under @p dir, depth first in name order.
+void
+collectFiles(const osk::Directory &dir, const std::string &path,
+             std::vector<std::pair<std::string, osk::CharDevice *>> &out)
+{
+    for (const auto &[name, node] : dir.entries()) {
+        const std::string child = path + "/" + name;
+        if (node->type() == osk::InodeType::Directory)
+            collectFiles(static_cast<const osk::Directory &>(*node),
+                         child, out);
+        else
+            out.emplace_back(
+                child, static_cast<osk::CharDevice *>(node.get()));
+    }
+}
+
+std::string
+readAll(osk::CharDevice &file)
+{
+    char buf[64] = {};
+    const std::uint64_t n = file.read(0, buf, sizeof(buf));
+    return std::string(buf, n);
+}
+
+/// The knobs: every other /sys/genesys file is read-only.
+const std::set<std::string> kWritableSysfs = {
+    "/sys/genesys/coalesce_max_batch",
+    "/sys/genesys/coalesce_window_ns",
+    "/sys/genesys/fault/atomic_transfer_bytes",
+    "/sys/genesys/fault/device_delay_ns",
+    "/sys/genesys/fault/device_delay_ppm",
+    "/sys/genesys/fault/eagain_ppm",
+    "/sys/genesys/fault/eintr_ppm",
+    "/sys/genesys/fault/errno_ppm",
+    "/sys/genesys/fault/errno_value",
+    "/sys/genesys/fault/seed",
+    "/sys/genesys/fault/short_ppm",
+    "/sys/genesys/gsan/enabled",
+    "/sys/genesys/gsan/max_reports",
+    "/sys/genesys/net/tcp/loss_ppm",
+    "/sys/genesys/rings/consumer_grace_ns",
+    "/sys/genesys/rings/consumer_poll_ns",
+    "/sys/genesys/workqueue/max_workers",
+    "/sys/genesys/workqueue/queue_bound",
+};
+
+// Goldens start after the raw string's leading newline.
+const char *const kPinnedSysfsTree = 1 + R"(
+/sys/genesys/coalesce_max_batch 1
+/sys/genesys/coalesce_window_ns 0
+/sys/genesys/fault/atomic_transfer_bytes 512
+/sys/genesys/fault/device_delay_ns 400000
+/sys/genesys/fault/device_delay_ppm 0
+/sys/genesys/fault/eagain_ppm 0
+/sys/genesys/fault/eintr_ppm 0
+/sys/genesys/fault/errno_ppm 0
+/sys/genesys/fault/errno_value 5
+/sys/genesys/fault/injected 0
+/sys/genesys/fault/seed 1
+/sys/genesys/fault/short_ppm 0
+/sys/genesys/gsan/enabled 1
+/sys/genesys/gsan/lost_wakeups 0
+/sys/genesys/gsan/max_reports 256
+/sys/genesys/gsan/ordering_violations 0
+/sys/genesys/gsan/payload_races 0
+/sys/genesys/gsan/reports 0
+/sys/genesys/net/epoll/edges_delivered 6
+/sys/genesys/net/epoll/edges_recorded 6
+/sys/genesys/net/epoll/notifies 38
+/sys/genesys/net/epoll/shards/0/wakeups 5
+/sys/genesys/net/epoll/shards/1/wakeups 0
+/sys/genesys/net/epoll/timeouts 0
+/sys/genesys/net/epoll/waits 8
+/sys/genesys/net/epoll/wakeups 5
+/sys/genesys/net/tcp/accepts 2
+/sys/genesys/net/tcp/backpressure_stalls 0
+/sys/genesys/net/tcp/connects 2
+/sys/genesys/net/tcp/copied_bytes 0
+/sys/genesys/net/tcp/loss_ppm 50000
+/sys/genesys/net/tcp/refused 0
+/sys/genesys/net/tcp/resets 0
+/sys/genesys/net/tcp/retransmits 1
+/sys/genesys/net/tcp/segs_lost 1
+/sys/genesys/net/tcp/segs_sent 13
+/sys/genesys/net/tcp/zerocopy_bytes 1280
+/sys/genesys/net/udp/delivered 0
+/sys/genesys/net/udp/dropped 0
+/sys/genesys/net/udp/unroutable 0
+/sys/genesys/rings/0/batches 52
+/sys/genesys/rings/0/cq_head 0
+/sys/genesys/rings/0/cq_reclaims 0
+/sys/genesys/rings/0/cq_tail 52
+/sys/genesys/rings/0/entries 52
+/sys/genesys/rings/0/sq_head 52
+/sys/genesys/rings/0/sq_tail 52
+/sys/genesys/rings/1/batches 10
+/sys/genesys/rings/1/cq_head 0
+/sys/genesys/rings/1/cq_reclaims 0
+/sys/genesys/rings/1/cq_tail 10
+/sys/genesys/rings/1/entries 10
+/sys/genesys/rings/1/sq_head 10
+/sys/genesys/rings/1/sq_tail 10
+/sys/genesys/rings/batches 62
+/sys/genesys/rings/consumer_grace_ns 30000
+/sys/genesys/rings/consumer_poll_ns 500
+/sys/genesys/rings/cq_posted 62
+/sys/genesys/rings/doorbells_suppressed 56
+/sys/genesys/rings/enabled 1
+/sys/genesys/rings/entries 64
+/sys/genesys/rings/entries_submitted 62
+/sys/genesys/rings/sq_full_retries 0
+/sys/genesys/shards/0/interrupts 52
+/sys/genesys/shards/0/issued 52
+/sys/genesys/shards/0/processed 52
+/sys/genesys/shards/1/interrupts 10
+/sys/genesys/shards/1/issued 10
+/sys/genesys/shards/1/processed 10
+/sys/genesys/shards/count 2
+/sys/genesys/workqueue/max_workers 32
+/sys/genesys/workqueue/queue_bound 4096
+/sys/genesys/workqueue/spills 0
+/sys/genesys/workqueue/steals 56
+)";
+
+const char *const kPinnedStatsReport = 1 + R"(
+gpu.kernels_launched                     2
+gpu.workgroups_launched                  14
+gpu.wavefronts_launched                  14
+gpu.l2_hits                              933
+gpu.l2_misses                            12
+genesys.requests_issued                  62
+genesys.interrupts                       62
+genesys.batches                          6
+genesys.syscalls_processed               62
+genesys.batch_size_mean                  10.3333
+genesys.syscall_retries                  0
+genesys.short_transfers                  0
+genesys.host_restarts                    0
+genesys.area_shards                      2
+genesys.rings_enabled                    1
+genesys.ring_batches                     62
+genesys.ring_entries                     62
+genesys.ring_batch_occupancy             1
+genesys.ring_doorbells_suppressed        56
+genesys.ring_cq_posted                   62
+osk.faults_injected                      0
+gsan.enabled                             1
+gsan.reports                             0
+gsan.payload_races                       0
+gsan.ordering_violations                 0
+gsan.lost_wakeups                        0
+gsan.threads                             42
+net.udp_delivered                        0
+net.udp_dropped                          0
+net.tcp_segs_sent                        13
+net.tcp_retransmits                      1
+net.tcp_backpressure_stalls              0
+net.tcp_resets                           0
+net.tcp_copied_bytes                     0
+net.tcp_zerocopy_bytes                   1280
+net.epoll_waits                          8
+net.epoll_wakeups                        5
+net.epoll_notifies                       38
+mem.gpu_bytes                            768
+mem.cpu_bytes                            0
+cpu.utilization                          0.0501917
+osk.workqueue_tasks                      62
+osk.workqueue_max_workers                32
+osk.workqueue_steals                     56
+osk.workqueue_spills                     0
+sim.events_executed                      3389
+sim.final_tick                           717310
+)";
+
+TEST(System, SysfsTreeAndStatsReportArePinned)
+{
+    // One fixed run over the file, TCP/epoll and ring paths, then the
+    // whole /sys/genesys tree and statsReport() against goldens: the
+    // path set, every value, which files take writes, and every
+    // report byte.
+    SystemConfig cfg = smallConfig();
+    cfg.genesys.useRings = true;
+    cfg.genesys.areaShards = 2;
+    System sys(cfg);
+    // The same state with or without GENESYS_GSAN.
+    sys.gsan().setEnabled(true);
+
+    sys.kernel().vfs().createFile("/pin");
+    gpu::KernelLaunch k;
+    k.workItems = 12 * 64;
+    k.wgSize = 64;
+    k.program = [&sys](gpu::WavefrontCtx &ctx) -> sim::Task<> {
+        auto i = inv(Granularity::WorkGroup, Ordering::Relaxed,
+                     Blocking::Blocking);
+        const auto fd = co_await sys.gpuSys().open(ctx, i, "/pin", 2);
+        co_await sys.gpuSys().pwrite(ctx, i, static_cast<int>(fd),
+                                     "pin", 3, 4 * ctx.workgroupId());
+    };
+    sys.launchGpuAndDrain(std::move(k));
+    sys.run();
+
+    workloads::GkvConfig gc;
+    gc.numConnections = 2;
+    gc.requestsPerConn = 4;
+    gc.serverGroups = 2;
+    gc.valueBytes = 64;
+    gc.pipelineDepth = 2;
+    gc.thinkNs = 20000;
+    sys.kernel().tcp().setLossPpm(50000); // exercise segs_lost
+    ASSERT_TRUE(workloads::runGkv(sys, gc).correct);
+
+    std::vector<std::pair<std::string, osk::CharDevice *>> files;
+    const auto *sysDir = static_cast<const osk::Directory *>(
+        sys.kernel().vfs().resolve("/sys/genesys"));
+    ASSERT_NE(sysDir, nullptr);
+    collectFiles(*sysDir, "/sys/genesys", files);
+
+    std::string tree;
+    for (const auto &[path, file] : files)
+        tree += path + " " + readAll(*file);
+    EXPECT_EQ(tree, kPinnedSysfsTree);
+
+    for (const auto &[path, file] : files) {
+        const std::string before = readAll(*file);
+        if (kWritableSysfs.count(path) != 0) {
+            // Writing a knob's own value back is accepted and a no-op.
+            EXPECT_EQ(file->write(0, before.data(), before.size()),
+                      before.size())
+                << path;
+        } else {
+            EXPECT_EQ(file->write(0, "7\n", 2), 0u) << path;
+        }
+        EXPECT_EQ(readAll(*file), before) << path;
+    }
+
+    EXPECT_EQ(sys.statsReport(), kPinnedStatsReport);
 }
 
 TEST(System, TeardownDestroysSuspendedWavesAndServiceLoops)
