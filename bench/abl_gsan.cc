@@ -2,11 +2,13 @@
  * @file
  * Ablation: cost and cleanliness of the gsan happens-before sanitizer.
  *
- * Part 1 runs every end-to-end workload twice — sanitizer off, then
- * on — and reports the host wall-clock overhead of the always-compiled
- * instrumentation. Because gsan only observes (vector-clock joins on
- * the side, no simulated latency), the simulated end time must be
- * bit-identical between the two runs; that is asserted per workload.
+ * Part 1 runs every end-to-end workload as kPairs off/on pairs,
+ * alternating which side runs first, and reports the median host
+ * wall-clock overhead of the always-compiled instrumentation with its
+ * quartiles: a single pair swings by tens of percent from scheduling
+ * noise alone. Because gsan only observes (vector-clock joins on the
+ * side, no simulated latency), the simulated end time must be
+ * bit-identical across every run; that is asserted per workload.
  *
  * Part 2 sweeps the paper's invocation design space (granularity ×
  * ordering × blocking × wait mode, the fig 7/8 axes) with the
@@ -17,8 +19,10 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "bench/common.hh"
+#include "support/stats.hh"
 #include "workloads/fbdisplay.hh"
 #include "workloads/grep.hh"
 #include "workloads/memcached.hh"
@@ -33,6 +37,8 @@ namespace
 {
 
 constexpr std::uint64_t kSeed = 42;
+/// Off/on pairs per workload; odd, so the median is one pair's value.
+constexpr int kPairs = 7;
 
 struct Meas
 {
@@ -127,6 +133,27 @@ fbdisplay(core::System &sys)
     cfg.height = 240;
     const auto r = workloads::runFbDisplay(sys, cfg);
     return {r.ok && r.pixelErrors == 0, sys.sim().now(), 0.0, 0};
+}
+
+double
+overheadPct(double off_ms, double on_ms)
+{
+    return off_ms > 0.0 ? (on_ms / off_ms - 1.0) * 100.0 : 0.0;
+}
+
+std::string
+pct(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.2f", v);
+    return buf;
+}
+
+/** "q1..q3" of a per-pair overhead distribution. */
+std::string
+quartiles(const stats::Distribution &d)
+{
+    return pct(d.percentile(25)) + ".." + pct(d.percentile(75));
 }
 
 core::Invocation
@@ -242,11 +269,14 @@ main()
 
     bool ok = true;
 
-    TextTable t1("six workloads, gsan off vs on (seeded, "
-                 "simulated time must be identical)");
+    TextTable t1(std::to_string(kPairs) +
+                 " off/on pairs per workload, gsan off vs on (seeded, "
+                 "simulated time must be identical; wall columns are "
+                 "medians)");
     t1.setHeader({"workload", "correct", "reports", "sim_identical",
-                  "wall_off_ms", "wall_on_ms", "overhead_%"});
-    double totalOff = 0.0, totalOn = 0.0;
+                  "wall_off_ms", "wall_on_ms", "overhead_%",
+                  "overhead_q1..q3_%"});
+    double totalOff[kPairs] = {}, totalOn[kPairs] = {};
     const struct
     {
         const char *name;
@@ -260,31 +290,48 @@ main()
         {"fbdisplay", fbdisplay},
     };
     for (const auto &w : kWorkloads) {
-        const Meas off = measure(false, w.fn);
-        const Meas on = measure(true, w.fn);
-        const bool same_sim = off.simElapsed == on.simElapsed;
-        const bool row_ok =
-            off.correct && on.correct && on.reports == 0 && same_sim;
+        bool correct = true, same_sim = true;
+        std::uint64_t reports = 0;
+        Tick sim = 0;
+        stats::Distribution offMs, onMs, overhead;
+        for (int k = 0; k < kPairs; ++k) {
+            Meas off, on;
+            if (k % 2 == 0) {
+                off = measure(false, w.fn);
+                on = measure(true, w.fn);
+            } else {
+                on = measure(true, w.fn);
+                off = measure(false, w.fn);
+            }
+            if (k == 0)
+                sim = off.simElapsed;
+            same_sim = same_sim && off.simElapsed == sim &&
+                       on.simElapsed == sim;
+            correct = correct && off.correct && on.correct;
+            reports += on.reports;
+            offMs.sample(off.wallMs);
+            onMs.sample(on.wallMs);
+            overhead.sample(overheadPct(off.wallMs, on.wallMs));
+            totalOff[k] += off.wallMs;
+            totalOn[k] += on.wallMs;
+        }
+        const bool row_ok = correct && reports == 0 && same_sim;
         ok = ok && row_ok;
-        totalOff += off.wallMs;
-        totalOn += on.wallMs;
-        char over[32];
-        std::snprintf(over, sizeof over, "%.2f",
-                      off.wallMs > 0.0
-                          ? (on.wallMs / off.wallMs - 1.0) * 100.0
-                          : 0.0);
-        t1.addRow({w.name, row_ok ? "yes" : "NO",
-                   std::to_string(on.reports), same_sim ? "yes" : "NO",
-                   std::to_string(off.wallMs),
-                   std::to_string(on.wallMs), over});
+        t1.addRow({w.name, row_ok ? "yes" : "NO", std::to_string(reports),
+                   same_sim ? "yes" : "NO",
+                   std::to_string(offMs.percentile(50)),
+                   std::to_string(onMs.percentile(50)),
+                   pct(overhead.percentile(50)), quartiles(overhead)});
     }
     std::printf("%s\n", t1.render().c_str());
-    const double aggregate =
-        totalOff > 0.0 ? (totalOn / totalOff - 1.0) * 100.0 : 0.0;
-    std::printf("aggregate wall-clock overhead: %.2f%% "
-                "(target < 10%%)\n\n",
-                aggregate);
-    if (aggregate >= 10.0)
+    stats::Distribution aggregate;
+    for (int k = 0; k < kPairs; ++k)
+        aggregate.sample(overheadPct(totalOff[k], totalOn[k]));
+    std::printf("aggregate wall-clock overhead: median %s%% over %d "
+                "pairs, quartiles %s%% (target: median < 10%%)\n\n",
+                pct(aggregate.percentile(50)).c_str(), kPairs,
+                quartiles(aggregate).c_str());
+    if (aggregate.percentile(50) >= 10.0)
         ok = false;
 
     TextTable t2("invocation design space with gsan on "

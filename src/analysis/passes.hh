@@ -36,7 +36,7 @@
  * 4. Token rules (tokenrules.cc), selected with `ordering`: banned
  *    identifiers outside file allowlists (`doorbell-callers`,
  *    `segment-loan`, `raw-rand`, `wall-clock`, `raw-counter-access`,
- *    `mutant-scope`),
+ *    `mutant-scope`, `sysfs-table`),
  *    `slot-state`, `unordered-iteration`, `coawait-owning-lambda`
  *    and the cross-file `sysno-classified` census check.
  */

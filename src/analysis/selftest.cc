@@ -988,6 +988,14 @@ clampedForward(const SyscallArgs &args)
          "void f(const McConfig &mc) "
          "{ const mutant::Scope planted(mc.mutants); }",
          {});
+    lint("token-sysfs-file-outside-the-helper", "src/core/system.cc",
+         "void f(osk::Vfs &v) { v.install(\"/sys/genesys/x\", "
+         "std::make_shared<osk::SysfsFile>(r, w)); }",
+         {{"sysfs-table", 1}});
+    lint("token-sysfs-file-in-the-helper-ok", "src/osk/sysfs.cc",
+         "void f(Vfs &v) { v.install(p, "
+         "std::make_shared<SysfsFile>(r, w, 0, 1)); }",
+         {});
     lint("token-mutant-query-ok", "src/core/client.cc",
          "bool f() { return mutant::on(Mutant::RacyConsume); }", {});
     lint("token-readsegments-outside-the-audited-loan-paths",

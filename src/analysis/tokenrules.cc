@@ -6,7 +6,7 @@
  * prose or a log message naming a banned identifier cannot trip a
  * rule.
  *
- * Five rules ban an identifier (or a short token sequence) outside a
+ * Seven rules ban an identifier (or a short token sequence) outside a
  * file allowlist and share one table. Four need a little shape:
  *
  *  - `slot-state`: slot state words are assigned only inside the FSM
@@ -132,6 +132,12 @@ const std::vector<BannedTokens> kBannedTokens = {
      "seeded protocol bugs are planted only by the gmc scenario "
      "runner (and tests); production paths never open a "
      "mutant::Scope"},
+    {"sysfs-table",
+     {{"SysfsFile"}},
+     {"osk/sysfs.hh", "osk/sysfs.cc"},
+     "sysfs files are made only by osk::installSysfsFile; declare a "
+     "/sys/genesys counter or knob as a row of the counter table in "
+     "core/system.cc (fault knobs: osk/fault.cc)"},
 };
 
 /// One finding per banned-token rule per line.

@@ -100,7 +100,7 @@ class GpuSignalDelivery
     std::map<int, PendingBatch> pending_;
     std::uint64_t delivered_ = 0;
     std::uint64_t handlerWaves_ = 0;
-    stats::Distribution recombination_{"gpu_signals.per_wave"};
+    stats::Distribution recombination_;
 };
 
 } // namespace genesys::core

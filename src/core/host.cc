@@ -5,7 +5,6 @@
 
 #include "host.hh"
 
-#include "osk/sysfs.hh"
 #include "support/logging.hh"
 
 namespace genesys::core
@@ -14,7 +13,7 @@ namespace genesys::core
 GenesysHost::GenesysHost(osk::Kernel &kernel, gpu::GpuDevice &gpu,
                          SyscallArea &area, osk::Process &proc,
                          const GenesysParams &params)
-    : kernel_(kernel), params_(params),
+    : params_(params),
       core_(std::make_unique<ServiceCore>(kernel, gpu, area, proc,
                                           params_)),
       interrupt_(std::make_unique<InterruptBackend>(*core_, params_)),
@@ -24,30 +23,6 @@ GenesysHost::GenesysHost(osk::Kernel &kernel, gpu::GpuDevice &gpu,
         [this](std::uint32_t cu, std::uint32_t hw_wave_slot) {
             onGpuInterrupt(cu, hw_wave_slot);
         });
-
-    // The paper's sysfs control surface (Section VI): coalescing is
-    // tuned by writing /sys/genesys/coalesce_{window_ns,max_batch}.
-    kernel_.vfs().install(
-        "/sys/genesys/coalesce_window_ns",
-        std::make_shared<osk::SysfsFile>(
-            [this] { return static_cast<std::uint64_t>(
-                         params_.coalesceWindow); },
-            [this](std::uint64_t v) {
-                params_.coalesceWindow = v;
-                return true;
-            }));
-    kernel_.vfs().install(
-        "/sys/genesys/coalesce_max_batch",
-        std::make_shared<osk::SysfsFile>(
-            [this] { return static_cast<std::uint64_t>(
-                         params_.coalesceMaxBatch); },
-            [this](std::uint64_t v) {
-                if (v == 0)
-                    return false;
-                params_.coalesceMaxBatch =
-                    static_cast<std::uint32_t>(v);
-                return true;
-            }));
 }
 
 void

@@ -8,7 +8,9 @@
  * the paper's interrupt + workqueue pipeline, PollingDaemonBackend for
  * the prior-work scanning daemon — services slots through one shared
  * ServiceCore over the sharded SyscallArea. The façade only selects
- * the active backend and aggregates stats; it owns no scan loop.
+ * the active backend and aggregates stats; it owns no scan loop and
+ * no file: its counters and the coalescing knobs reach /sys/genesys
+ * as rows of the counter table in core/system.cc.
  */
 
 #ifndef GENESYS_CORE_HOST_HH
@@ -134,7 +136,6 @@ class GenesysHost
     }
 
   private:
-    osk::Kernel &kernel_;
     GenesysParams params_;
 
     std::unique_ptr<ServiceCore> core_;

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/client.hh"
 #include "core/host.hh"
@@ -33,6 +32,9 @@
 
 namespace genesys::core
 {
+
+/// The component pointers the counter table reads (system.cc).
+struct SystemParts;
 
 struct SystemConfig
 {
@@ -50,8 +52,8 @@ class System
     /** Destroys still-suspended root tasks before the components
      *  their frames reference (kernel, GPU, host) go away. */
     ~System();
-    System(System &&) = default;
-    System &operator=(System &&) = default;
+    System(System &&);
+    System &operator=(System &&);
 
     sim::Sim &sim() { return *sim_; }
     osk::Kernel &kernel() { return *kernel_; }
@@ -99,16 +101,14 @@ class System
     /**
      * End-of-run statistics report across every component (gem5-style
      * stats dump): GPU dispatch counters, GENESYS host counters, L2
-     * and memory-bus traffic, CPU utilization.
+     * and memory-bus traffic, CPU utilization. One line per named row
+     * of the counter table in system.cc, which also makes every
+     * /sys/genesys file but the fault knobs.
      */
     std::string statsReport() const;
 
   private:
     sim::Task<> launchDrainTask(gpu::KernelLaunch launch);
-    void installGsanSysfs();
-    void installShardSysfs();
-    void installNetSysfs();
-    void installRingSysfs();
 
     SystemConfig config_;
     std::unique_ptr<sim::Sim> sim_;
@@ -120,8 +120,8 @@ class System
     std::unique_ptr<GenesysHost> host_;
     std::unique_ptr<GpuSyscalls> client_;
     std::unique_ptr<gsan::Sanitizer> gsan_;
-    /// Per-shard epoll wake fanout (heap-stable: observer captures it).
-    std::shared_ptr<std::vector<std::uint64_t>> epollShardWakes_;
+    /// What the counter table's files and the epoll wake observer read.
+    std::unique_ptr<SystemParts> parts_;
 };
 
 } // namespace genesys::core

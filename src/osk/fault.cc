@@ -1,6 +1,7 @@
 #include "osk/fault.hh"
 
-#include <memory>
+#include <string>
+#include <type_traits>
 
 #include "osk/sysfs.hh"
 #include "osk/vfs.hh"
@@ -132,72 +133,33 @@ FaultInjector::reset()
 void
 FaultInjector::installSysfs(Vfs &vfs)
 {
-    auto knob = [&vfs, this](const std::string &name,
-                             std::uint32_t FaultConfig::*field) {
-        vfs.install("/sys/genesys/fault/" + name,
-                    std::make_shared<SysfsFile>(
-                        [this, field]() -> std::uint64_t {
-                            return config_.*field;
-                        },
-                        [this, field](std::uint64_t v) {
-                            if (v > 1'000'000)
-                                return false;
-                            config_.*field =
-                                static_cast<std::uint32_t>(v);
-                            return true;
-                        }));
+    auto knob = [&vfs, this](const char *name, auto FaultConfig::*field,
+                             std::uint64_t lo, std::uint64_t hi) {
+        using Field = std::remove_reference_t<decltype(config_.*field)>;
+        installSysfsFile(
+            vfs, std::string("/sys/genesys/fault/") + name,
+            [this, field] {
+                return static_cast<std::uint64_t>(config_.*field);
+            },
+            [this, field](std::uint64_t v) {
+                config_.*field = static_cast<Field>(v);
+                return true;
+            },
+            lo, hi);
     };
-    knob("eintr_ppm", &FaultConfig::eintrPpm);
-    knob("eagain_ppm", &FaultConfig::eagainPpm);
-    knob("short_ppm", &FaultConfig::shortPpm);
-    knob("errno_ppm", &FaultConfig::errnoPpm);
-    knob("device_delay_ppm", &FaultConfig::deviceDelayPpm);
-
-    vfs.install("/sys/genesys/fault/seed",
-                std::make_shared<SysfsFile>(
-                    [this]() -> std::uint64_t { return config_.seed; },
-                    [this](std::uint64_t v) {
-                        config_.seed = v;
-                        return true;
-                    }));
-    vfs.install("/sys/genesys/fault/errno_value",
-                std::make_shared<SysfsFile>(
-                    [this]() -> std::uint64_t {
-                        return static_cast<std::uint64_t>(
-                            config_.errnoValue);
-                    },
-                    [this](std::uint64_t v) {
-                        if (v == 0 || v > 4095)
-                            return false;
-                        config_.errnoValue = static_cast<int>(v);
-                        return true;
-                    }));
-    vfs.install("/sys/genesys/fault/atomic_transfer_bytes",
-                std::make_shared<SysfsFile>(
-                    [this]() -> std::uint64_t {
-                        return config_.atomicTransferBytes;
-                    },
-                    [this](std::uint64_t v) {
-                        if (v > UINT32_MAX)
-                            return false;
-                        config_.atomicTransferBytes =
-                            static_cast<std::uint32_t>(v);
-                        return true;
-                    }));
-    vfs.install("/sys/genesys/fault/device_delay_ns",
-                std::make_shared<SysfsFile>(
-                    [this]() -> std::uint64_t {
-                        return config_.deviceDelay;
-                    },
-                    [this](std::uint64_t v) {
-                        config_.deviceDelay = v;
-                        return true;
-                    }));
+    knob("eintr_ppm", &FaultConfig::eintrPpm, 0, 1'000'000);
+    knob("eagain_ppm", &FaultConfig::eagainPpm, 0, 1'000'000);
+    knob("short_ppm", &FaultConfig::shortPpm, 0, 1'000'000);
+    knob("errno_ppm", &FaultConfig::errnoPpm, 0, 1'000'000);
+    knob("device_delay_ppm", &FaultConfig::deviceDelayPpm, 0, 1'000'000);
+    knob("seed", &FaultConfig::seed, 0, UINT64_MAX);
+    knob("errno_value", &FaultConfig::errnoValue, 1, 4095);
+    knob("atomic_transfer_bytes", &FaultConfig::atomicTransferBytes, 0,
+         UINT32_MAX);
+    knob("device_delay_ns", &FaultConfig::deviceDelay, 0, UINT64_MAX);
     // Read-only observability: total faults fired so far.
-    vfs.install("/sys/genesys/fault/injected",
-                std::make_shared<SysfsFile>(
-                    [this]() -> std::uint64_t { return injected_; },
-                    [](std::uint64_t) { return false; }));
+    installSysfsFile(vfs, "/sys/genesys/fault/injected",
+                     [this] { return injected_; });
 }
 
 } // namespace genesys::osk

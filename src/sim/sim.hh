@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulation context: event queue + root-task spawner + RNG + stats.
+ * Simulation context: event queue + root-task spawner + RNG.
  *
  * A Sim owns everything a model needs to run. Root tasks (spawned via
  * spawn()) execute concurrently over the shared event queue; run()
@@ -21,7 +21,6 @@
 #include "sim/sync.hh"
 #include "sim/task.hh"
 #include "support/random.hh"
-#include "support/stats.hh"
 #include "support/types.hh"
 
 namespace genesys::sim
@@ -39,7 +38,6 @@ class Sim
     EventQueue &events() { return eq_; }
     Tick now() const { return eq_.now(); }
     Random &random() { return random_; }
-    stats::Registry &statsRegistry() { return statsRegistry_; }
 
     /** Awaitable fixed delay. */
     Delay delay(Tick ticks) { return Delay(eq_, ticks); }
@@ -116,7 +114,6 @@ class Sim
 
     EventQueue eq_;
     Random random_;
-    stats::Registry statsRegistry_;
     std::size_t liveTasks_ = 0;
     RootTask::promise_type *roots_ = nullptr; ///< newest live root
     std::exception_ptr firstError_;

@@ -5,31 +5,10 @@
 
 #include "stats.hh"
 
-#include <sstream>
-
 #include "logging.hh"
 
 namespace genesys::stats
 {
-
-StatBase::StatBase(Registry *registry, std::string name)
-    : registry_(registry), name_(std::move(name))
-{
-    if (registry_)
-        registry_->add(this);
-}
-
-StatBase::~StatBase()
-{
-    if (registry_)
-        registry_->remove(this);
-}
-
-std::string
-Scalar::render() const
-{
-    return logging::format("%-40s %.6g", name().c_str(), value_);
-}
 
 double
 Distribution::sum() const
@@ -100,49 +79,6 @@ Distribution::percentile(double p) const
     const auto hi = std::min(lo + 1, sorted_samples_.size() - 1);
     const double frac = rank - static_cast<double>(lo);
     return sorted_samples_[lo] * (1.0 - frac) + sorted_samples_[hi] * frac;
-}
-
-std::string
-Distribution::render() const
-{
-    return logging::format(
-        "%-40s n=%zu mean=%.6g stdev=%.6g min=%.6g max=%.6g",
-        name().c_str(), count(), mean(), stdev(), min(), max());
-}
-
-double
-TimeSeries::windowAverage(Tick from, Tick to) const
-{
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (const auto &[when, v] : points_) {
-        if (when >= from && when < to) {
-            sum += v;
-            ++n;
-        }
-    }
-    return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
-std::string
-TimeSeries::render() const
-{
-    return logging::format("%-40s points=%zu", name().c_str(),
-                           points_.size());
-}
-
-std::string
-Registry::dump() const
-{
-    std::vector<StatBase *> ordered = stats_;
-    std::sort(ordered.begin(), ordered.end(),
-              [](const StatBase *a, const StatBase *b) {
-                  return a->name() < b->name();
-              });
-    std::ostringstream os;
-    for (const StatBase *s : ordered)
-        os << s->render() << '\n';
-    return os.str();
 }
 
 } // namespace genesys::stats

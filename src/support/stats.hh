@@ -1,16 +1,9 @@
 /**
  * @file
- * Lightweight statistics package, loosely modeled on gem5's.
- *
- * Three kinds of statistics cover everything the evaluation needs:
- *  - Scalar:       monotonically accumulated counter.
- *  - Distribution: streaming samples with mean / stdev / min / max and
- *                  percentile queries (samples retained).
- *  - TimeSeries:   (tick, value) samples for utilization/throughput
- *                  traces such as the paper's Figure 14.
- *
- * Statistics register themselves with an optional Registry so that a
- * bench binary can dump every counter at end of simulation.
+ * Streaming sample distributions with mean / stdev / min / max and
+ * percentile queries, for latency and batch-size figures. Counters
+ * live on their components and are listed once in the counter table
+ * in core/system.cc.
  */
 
 #ifndef GENESYS_SUPPORT_STATS_HH
@@ -18,65 +11,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <string>
-#include <utility>
+#include <cstddef>
 #include <vector>
-
-#include "types.hh"
 
 namespace genesys::stats
 {
 
-class Registry;
-
-/** Base class carrying the name and registry hookup. */
-class StatBase
-{
-  public:
-    StatBase(Registry *registry, std::string name);
-    virtual ~StatBase();
-
-    StatBase(const StatBase &) = delete;
-    StatBase &operator=(const StatBase &) = delete;
-
-    const std::string &name() const { return name_; }
-
-    /** One-line human readable rendering. */
-    virtual std::string render() const = 0;
-
-  private:
-    Registry *registry_;
-    std::string name_;
-};
-
-/** Accumulating counter. */
-class Scalar : public StatBase
-{
-  public:
-    explicit Scalar(std::string name, Registry *registry = nullptr)
-        : StatBase(registry, std::move(name))
-    {}
-
-    Scalar &operator+=(double v) { value_ += v; return *this; }
-    Scalar &operator++() { value_ += 1.0; return *this; }
-    void set(double v) { value_ = v; }
-    double value() const { return value_; }
-
-    std::string render() const override;
-
-  private:
-    double value_ = 0.0;
-};
-
 /** Streaming distribution that retains its samples. */
-class Distribution : public StatBase
+class Distribution
 {
   public:
-    explicit Distribution(std::string name, Registry *registry = nullptr)
-        : StatBase(registry, std::move(name))
-    {}
-
     void sample(double v) { samples_.push_back(v); sorted_ = false; }
     std::size_t count() const { return samples_.size(); }
     bool empty() const { return samples_.empty(); }
@@ -93,57 +37,12 @@ class Distribution : public StatBase
     const std::vector<double> &samples() const { return samples_; }
     void reset() { samples_.clear(); sorted_ = false; }
 
-    std::string render() const override;
-
   private:
     void ensureSorted() const;
 
     std::vector<double> samples_;
     mutable std::vector<double> sorted_samples_;
     mutable bool sorted_ = false;
-};
-
-/** Time-stamped samples for throughput / utilization traces. */
-class TimeSeries : public StatBase
-{
-  public:
-    explicit TimeSeries(std::string name, Registry *registry = nullptr)
-        : StatBase(registry, std::move(name))
-    {}
-
-    void sample(Tick when, double v) { points_.emplace_back(when, v); }
-    const std::vector<std::pair<Tick, double>> &points() const
-    {
-        return points_;
-    }
-
-    /**
-     * Average of all samples whose tick lies in [from, to).
-     * Returns 0 when the window is empty.
-     */
-    double windowAverage(Tick from, Tick to) const;
-
-    std::string render() const override;
-
-  private:
-    std::vector<std::pair<Tick, double>> points_;
-};
-
-/** Flat collection of statistics for end-of-run dumps. */
-class Registry
-{
-  public:
-    void add(StatBase *stat) { stats_.push_back(stat); }
-    void remove(StatBase *stat)
-    {
-        std::erase(stats_, stat);
-    }
-
-    /** Render every registered stat, one per line, name-sorted. */
-    std::string dump() const;
-
-  private:
-    std::vector<StatBase *> stats_;
 };
 
 } // namespace genesys::stats

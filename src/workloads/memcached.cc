@@ -46,7 +46,7 @@ struct Shared
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t badReplies = 0;
-    stats::Distribution latencies{"memcached.latency_us"};
+    stats::Distribution latencies;
     std::uint32_t stopsRemaining = 0;
     /// Per-GPU-server-group receive and reply buffers + LDS cells.
     struct GroupBufs

@@ -69,6 +69,15 @@ TEST_F(SysfsTest, CoalesceBatchValidatesWrites)
     EXPECT_EQ(sys_.host().coalesceMaxBatch(), 8u);
     EXPECT_EQ(sys(osk::sysno::write, osk::makeArgs(fd, "abc", 3)), 0);
     EXPECT_EQ(sys_.host().coalesceMaxBatch(), 8u);
+    // So are values past the knob's 32-bit range (2^32 would read back
+    // as 0) and past 64 bits (2^64 + 1 must not wrap around to 1).
+    EXPECT_EQ(sys(osk::sysno::write, osk::makeArgs(fd, "4294967296", 10)),
+              0);
+    EXPECT_EQ(sys_.host().coalesceMaxBatch(), 8u);
+    EXPECT_EQ(sys(osk::sysno::write,
+                  osk::makeArgs(fd, "18446744073709551617", 20)),
+              0);
+    EXPECT_EQ(sys_.host().coalesceMaxBatch(), 8u);
 }
 
 TEST_F(SysfsTest, SysfsControlsActuallyCoalesce)

@@ -1232,6 +1232,10 @@ TEST_F(NetSysfsTest, LossKnobWritableFromSimulatedCode)
                           osk::O_WRONLY));
     EXPECT_EQ(sys(osk::sysno::write, osk::makeArgs(fd2, "2000000", 7)),
               0);
+    // 2^64 does not fit in 64 bits; it must not wrap around to 0.
+    EXPECT_EQ(sys(osk::sysno::write,
+                  osk::makeArgs(fd2, "18446744073709551616", 20)),
+              0);
     sys(osk::sysno::close, osk::makeArgs(fd2));
     EXPECT_EQ(sys_.kernel().tcp().lossPpm(), 2500u);
 }
