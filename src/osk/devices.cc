@@ -9,6 +9,9 @@
 #include <cerrno>
 #include <cstring>
 
+#include "osk/mm.hh"
+#include "support/logging.hh"
+
 namespace genesys::osk
 {
 
@@ -35,6 +38,25 @@ TerminalDevice::read(std::uint64_t, void *dst, std::uint64_t len)
 
 // ------------------------------------------------------ FramebufferDevice
 
+namespace
+{
+
+/** Bytes per scanline, in 64 bits so no GPU-chosen width can wrap. */
+std::uint64_t
+lineBytes(const FbVarScreenInfo &var)
+{
+    return std::uint64_t(var.xresVirtual) * (var.bitsPerPixel / 8);
+}
+
+/** Whole pages, so any page of a device mapping lands in the store. */
+std::uint64_t
+pageRounded(std::uint64_t bytes)
+{
+    return (bytes + kPageSize - 1) / kPageSize * kPageSize;
+}
+
+} // namespace
+
 FramebufferDevice::FramebufferDevice(std::uint32_t xres,
                                      std::uint32_t yres,
                                      std::uint32_t bits_per_pixel)
@@ -42,16 +64,26 @@ FramebufferDevice::FramebufferDevice(std::uint32_t xres,
     var_.xres = var_.xresVirtual = xres;
     var_.yres = var_.yresVirtual = yres;
     var_.bitsPerPixel = bits_per_pixel;
-    reshape();
+    vramBytes_ = modeBytes_ = lineBytes(var_) * yres;
 }
 
-void
-FramebufferDevice::reshape()
+std::uint8_t *
+FramebufferDevice::store()
 {
-    const std::uint64_t bytes = std::uint64_t(var_.xresVirtual) *
-                                var_.yresVirtual *
-                                (var_.bitsPerPixel / 8);
-    pixels_.assign(bytes, 0);
+    if (!vram_) {
+        // calloc maps fresh zero pages for a block this size, so only
+        // the pages the current mode touches ever become resident.
+        vram_.reset(static_cast<std::uint8_t *>(
+            std::calloc(pageRounded(vramBytes_), 1)));
+        GENESYS_ASSERT(vram_ != nullptr, "framebuffer video memory");
+    }
+    return vram_.get();
+}
+
+std::uint64_t
+FramebufferDevice::allocatedBytes() const
+{
+    return vram_ ? pageRounded(vramBytes_) : 0;
 }
 
 std::int64_t
@@ -67,23 +99,29 @@ FramebufferDevice::ioctl(std::uint64_t request, void *argp)
       case FBIOPUT_VSCREENINFO: {
         if (argp == nullptr)
             return -EFAULT;
-        const auto &req = *static_cast<const FbVarScreenInfo *>(argp);
+        FbVarScreenInfo req = *static_cast<const FbVarScreenInfo *>(argp);
         if (req.bitsPerPixel != 16 && req.bitsPerPixel != 32)
             return -EINVAL;
         if (req.xres == 0 || req.yres == 0)
             return -EINVAL;
+        req.xresVirtual = std::max(req.xres, req.xresVirtual);
+        req.yresVirtual = std::max(req.yres, req.yresVirtual);
+        // vfb_check_var: the mode must fit the fixed video memory.
+        // Compared by division, as line * yres can pass 2^64.
+        if (lineBytes(req) > vramBytes_ / req.yresVirtual)
+            return -ENOMEM;
         var_ = req;
-        var_.xresVirtual = std::max(req.xres, req.xresVirtual);
-        var_.yresVirtual = std::max(req.yres, req.yresVirtual);
-        reshape();
+        modeBytes_ = lineBytes(var_) * var_.yresVirtual;
+        if (vram_)
+            std::memset(vram_.get(), 0, modeBytes_);
         return 0;
       }
       case FBIOGET_FSCREENINFO: {
         if (argp == nullptr)
             return -EFAULT;
         auto &fix = *static_cast<FbFixScreenInfo *>(argp);
-        fix.smemLen = pixels_.size();
-        fix.lineLength = var_.xresVirtual * (var_.bitsPerPixel / 8);
+        fix.smemLen = modeBytes_;
+        fix.lineLength = static_cast<std::uint32_t>(lineBytes(var_));
         return 0;
       }
       case FBIOPAN_DISPLAY: {
@@ -98,19 +136,18 @@ FramebufferDevice::ioctl(std::uint64_t request, void *argp)
 std::uint8_t *
 FramebufferDevice::mmapMemory(std::uint64_t &length)
 {
-    length = pixels_.size();
-    return pixels_.data();
+    length = modeBytes_;
+    return store();
 }
 
 std::uint64_t
 FramebufferDevice::write(std::uint64_t offset, const void *src,
                          std::uint64_t len)
 {
-    if (offset >= pixels_.size())
+    if (offset >= modeBytes_)
         return 0;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(len, pixels_.size() - offset);
-    std::memcpy(pixels_.data() + offset, src, n);
+    const std::uint64_t n = std::min(len, modeBytes_ - offset);
+    std::memcpy(store() + offset, src, n);
     return n;
 }
 
@@ -118,11 +155,10 @@ std::uint64_t
 FramebufferDevice::read(std::uint64_t offset, void *dst,
                         std::uint64_t len)
 {
-    if (offset >= pixels_.size())
+    if (offset >= modeBytes_)
         return 0;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(len, pixels_.size() - offset);
-    std::memcpy(dst, pixels_.data() + offset, n);
+    const std::uint64_t n = std::min(len, modeBytes_ - offset);
+    std::memcpy(dst, store() + offset, n);
     return n;
 }
 

@@ -6,14 +6,23 @@
  * interface the paper's bmp-display case study uses (Section VIII-E):
  * FBIOGET_VSCREENINFO / FBIOPUT_VSCREENINFO to query and set the mode,
  * and mmap of the pixel memory for the raster copy (Figure 16).
+ *
+ * Like Linux's vfb, the device owns a fixed video memory, sized by its
+ * construction geometry: a mode that needs more is refused with -ENOMEM
+ * (vfb_check_var), and a mode change never moves the memory, so an
+ * existing mapping stays valid. The memory is allocated, zeroed, the
+ * first time it is mapped, read, written or inspected, so a System that
+ * never opens /dev/fb0 holds none of it.
  */
 
 #ifndef GENESYS_OSK_DEVICES_HH
 #define GENESYS_OSK_DEVICES_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "osk/vfs.hh"
 
@@ -97,17 +106,32 @@ class FramebufferDevice : public CharDevice
     std::uint64_t
     read(std::uint64_t offset, void *dst, std::uint64_t len) override;
 
-    std::uint64_t size() const override { return pixels_.size(); }
+    /** Bytes of the current mode (what smemLen reports). */
+    std::uint64_t size() const override { return modeBytes_; }
 
     const FbVarScreenInfo &var() const { return var_; }
-    const std::vector<std::uint8_t> &pixels() const { return pixels_; }
+    /** The current mode's pixel bytes (allocates the video memory). */
+    std::span<const std::uint8_t> pixels()
+    {
+        return {store(), modeBytes_};
+    }
     std::uint32_t panCount() const { return panCount_; }
+    /** Host bytes allocated for pixels: 0 until the device is touched. */
+    std::uint64_t allocatedBytes() const;
 
   private:
-    void reshape();
+    struct FreeBytes
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
+    /** The video memory, allocated zeroed on first use; never moves. */
+    std::uint8_t *store();
 
     FbVarScreenInfo var_;
-    std::vector<std::uint8_t> pixels_;
+    std::uint64_t vramBytes_ = 0; ///< fixed video memory size
+    std::uint64_t modeBytes_ = 0; ///< lineLength * yresVirtual
+    std::unique_ptr<std::uint8_t, FreeBytes> vram_;
     std::uint32_t panCount_ = 0;
 };
 

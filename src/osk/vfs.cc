@@ -109,51 +109,59 @@ RegularFile::truncate(std::uint64_t new_size)
 // -------------------------------------------------------------- Directory
 
 Inode *
-Directory::lookup(const std::string &name) const
+Directory::lookup(std::string_view name) const
 {
     auto it = children_.find(name);
     return it == children_.end() ? nullptr : it->second.get();
 }
 
 void
-Directory::add(const std::string &name, std::shared_ptr<Inode> child)
+Directory::add(std::string_view name, std::shared_ptr<Inode> child)
 {
-    children_[name] = std::move(child);
+    children_.insert_or_assign(std::string(name), std::move(child));
 }
 
 bool
-Directory::remove(const std::string &name)
+Directory::remove(std::string_view name)
 {
-    return children_.erase(name) > 0;
+    auto it = children_.find(name);
+    if (it == children_.end())
+        return false;
+    children_.erase(it);
+    return true;
 }
 
 // -------------------------------------------------------------------- Vfs
 
-Vfs::Vfs() : root_(std::make_shared<Directory>()) {}
-
-std::vector<std::string>
-Vfs::split(const std::string &path)
+namespace
 {
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start < path.size()) {
-        if (path[start] == '/') {
-            ++start;
-            continue;
-        }
-        std::size_t end = path.find('/', start);
-        if (end == std::string::npos)
-            end = path.size();
-        parts.push_back(path.substr(start, end - start));
-        start = end;
+
+/** Pop the next '/'-separated component off @p rest; "" when none left. */
+std::string_view
+nextComponent(std::string_view &rest)
+{
+    const std::size_t start = rest.find_first_not_of('/');
+    if (start == std::string_view::npos) {
+        rest = {};
+        return rest;
     }
-    return parts;
+    rest.remove_prefix(start);
+    const std::string_view part = rest.substr(0, rest.find('/'));
+    rest.remove_prefix(part.size());
+    return part;
 }
 
+} // namespace
+
+Vfs::Vfs() : root_(std::make_shared<Directory>()) {}
+
 std::size_t
-Vfs::componentCount(const std::string &path)
+Vfs::componentCount(std::string_view path)
 {
-    return split(path).size();
+    std::size_t n = 0;
+    while (!nextComponent(path).empty())
+        ++n;
+    return n;
 }
 
 Inode *
@@ -162,7 +170,9 @@ Vfs::resolve(const std::string &path) const
     if (path.empty() || path[0] != '/')
         return nullptr;
     Inode *cur = root_.get();
-    for (const auto &part : split(path)) {
+    std::string_view rest = path;
+    for (auto part = nextComponent(rest); !part.empty();
+         part = nextComponent(rest)) {
         if (cur->type() != InodeType::Directory)
             return nullptr;
         cur = static_cast<Directory *>(cur)->lookup(part);
@@ -173,10 +183,11 @@ Vfs::resolve(const std::string &path) const
 }
 
 Directory *
-Vfs::ensureDir(const std::string &dirPath)
+Vfs::ensureDir(std::string_view dirPath)
 {
     Directory *cur = root_.get();
-    for (const auto &part : split(dirPath)) {
+    for (auto part = nextComponent(dirPath); !part.empty();
+         part = nextComponent(dirPath)) {
         Inode *next = cur->lookup(part);
         if (next == nullptr) {
             auto dir = std::make_shared<Directory>();
@@ -198,11 +209,11 @@ Vfs::createFile(const std::string &path)
     const auto slash = path.find_last_of('/');
     if (slash == std::string::npos)
         return nullptr;
-    const std::string dir = path.substr(0, slash);
-    const std::string name = path.substr(slash + 1);
+    const std::string_view view = path;
+    const std::string_view name = view.substr(slash + 1);
     if (name.empty())
         return nullptr;
-    Directory *parent = ensureDir(dir);
+    Directory *parent = ensureDir(view.substr(0, slash));
     if (parent == nullptr)
         return nullptr;
     if (Inode *existing = parent->lookup(name)) {
@@ -224,10 +235,11 @@ Vfs::install(const std::string &path, std::shared_ptr<Inode> node)
     const auto slash = path.find_last_of('/');
     if (slash == std::string::npos)
         return false;
-    Directory *parent = ensureDir(path.substr(0, slash));
+    const std::string_view view = path;
+    Directory *parent = ensureDir(view.substr(0, slash));
     if (parent == nullptr)
         return false;
-    const std::string name = path.substr(slash + 1);
+    const std::string_view name = view.substr(slash + 1);
     if (name.empty() || parent->lookup(name) != nullptr)
         return false;
     parent->add(name, std::move(node));

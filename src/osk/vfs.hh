@@ -128,17 +128,16 @@ class Directory : public Inode
   public:
     Directory() : Inode(InodeType::Directory) {}
 
-    Inode *lookup(const std::string &name) const;
-    void add(const std::string &name, std::shared_ptr<Inode> child);
-    bool remove(const std::string &name);
-    const std::map<std::string, std::shared_ptr<Inode>> &
-    entries() const
-    {
-        return children_;
-    }
+    /** Names compare as string_views, so a lookup copies no path. */
+    using Entries = std::map<std::string, std::shared_ptr<Inode>, std::less<>>;
+
+    Inode *lookup(std::string_view name) const;
+    void add(std::string_view name, std::shared_ptr<Inode> child);
+    bool remove(std::string_view name);
+    const Entries &entries() const { return children_; }
 
   private:
-    std::map<std::string, std::shared_ptr<Inode>> children_;
+    Entries children_;
 };
 
 /** Character device: read/write/ioctl/mmap hooks. */
@@ -215,7 +214,7 @@ class Vfs
     Inode *resolve(const std::string &path) const;
 
     /** Number of components in @p path (for open() timing). */
-    static std::size_t componentCount(const std::string &path);
+    static std::size_t componentCount(std::string_view path);
 
     /**
      * Create (or truncate) a regular file at @p path, creating parent
@@ -236,10 +235,7 @@ class Vfs
     std::vector<std::string> listFiles(const std::string &dirPath) const;
 
   private:
-    Directory *
-    ensureDir(const std::string &dirPath);
-
-    static std::vector<std::string> split(const std::string &path);
+    Directory *ensureDir(std::string_view dirPath);
 
     std::shared_ptr<Directory> root_;
 };

@@ -50,7 +50,7 @@ makeTestRaster(std::uint32_t width, std::uint32_t height)
 }
 
 std::string
-framebufferToPpm(const std::vector<std::uint8_t> &rgba,
+framebufferToPpm(std::span<const std::uint8_t> rgba,
                  std::uint32_t width, std::uint32_t height)
 {
     std::string ppm =
@@ -187,7 +187,7 @@ runFbDisplay(core::System &sys, const FbDisplayConfig &config)
     result.ioctls = sys.host().processedSyscalls() - ioctls_before;
 
     // Verify every pixel.
-    const auto &pixels = sys.kernel().framebuffer().pixels();
+    const auto pixels = sys.kernel().framebuffer().pixels();
     std::uint64_t errors = 0;
     if (pixels.size() != shared->raster.size()) {
         errors = shared->raster.size();

@@ -13,6 +13,7 @@
 #define GENESYS_WORKLOADS_FBDISPLAY_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,7 @@ FbDisplayResult runFbDisplay(core::System &sys,
                              const FbDisplayConfig &config);
 
 /** Render an RGBA framebuffer as a binary PPM (P6) string. */
-std::string framebufferToPpm(const std::vector<std::uint8_t> &rgba,
+std::string framebufferToPpm(std::span<const std::uint8_t> rgba,
                              std::uint32_t width, std::uint32_t height);
 
 /**

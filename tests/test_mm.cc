@@ -250,6 +250,23 @@ TEST(MmDevice, DeviceMappingResolvesToBackingBytes)
     EXPECT_EQ(mm.madvise(a, kPageSize, MADV_DONTNEED_), -EINVAL);
 }
 
+TEST(MmDevice, DeviceMappingTailOfLastPageIsBacked)
+{
+    // A 64-byte device maps one whole page; every byte of it must land
+    // in device memory, not past the end of the store.
+    sim::Sim sim;
+    OskParams params;
+    MemoryManager mm(sim.events(), params, 1ull << 30);
+    FramebufferDevice fb(4, 4, 32);
+    const Addr a = mm.mmapDevice(&fb);
+    ASSERT_NE(a, 0u);
+    std::uint8_t *mem = mm.resolve(a, kPageSize);
+    ASSERT_NE(mem, nullptr);
+    mem[kPageSize - 1] = 0x3C;
+    EXPECT_EQ(mem[kPageSize - 1], 0x3C);
+    EXPECT_EQ(fb.size(), 64u);
+}
+
 TEST(MmDevice, AnonymousMappingDoesNotResolve)
 {
     sim::Sim sim;

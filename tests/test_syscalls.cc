@@ -11,6 +11,7 @@
 #include <cstring>
 #include <string>
 
+#include "core/system.hh"
 #include "osk/classification.hh"
 #include "osk/devices.hh"
 #include "osk/process.hh"
@@ -228,6 +229,71 @@ TEST_F(SyscallTest, FramebufferIoctlAndMmap)
     ASSERT_NE(pix, nullptr);
     pix[3] = 0x77;
     EXPECT_EQ(kernel_.framebuffer().pixels()[3], 0x77);
+}
+
+TEST(FramebufferStore, FreshSystemHoldsNoPixelBytes)
+{
+    core::System sys;
+    auto &fb = sys.kernel().framebuffer();
+    EXPECT_EQ(fb.allocatedBytes(), 0u);
+    FbVarScreenInfo var{};
+    FbFixScreenInfo fix{};
+    EXPECT_EQ(fb.ioctl(FBIOGET_VSCREENINFO, &var), 0);
+    EXPECT_EQ(fb.ioctl(FBIOGET_FSCREENINFO, &fix), 0);
+    EXPECT_EQ(var.xres, 1024u);
+    EXPECT_EQ(var.yres, 768u);
+    EXPECT_EQ(var.xresVirtual, 1024u);
+    EXPECT_EQ(var.yresVirtual, 768u);
+    EXPECT_EQ(var.bitsPerPixel, 32u);
+    EXPECT_EQ(fix.lineLength, 1024u * 4);
+    EXPECT_EQ(fix.smemLen, 1024u * 768 * 4);
+    EXPECT_EQ(fb.size(), 1024u * 768 * 4);
+    EXPECT_EQ(fb.allocatedBytes(), 0u);
+}
+
+TEST_F(SyscallTest, FramebufferMappingOutlivesRefusedGrowth)
+{
+    const std::int64_t fd =
+        sys(sysno::open, makeArgs("/dev/fb0", O_RDWR));
+    ASSERT_GE(fd, 0);
+    const std::uint64_t len = kernel_.framebuffer().size();
+    const std::int64_t addr = sys(sysno::mmap, makeArgs(0, len, 3, 1, fd, 0));
+    ASSERT_GT(addr, 0);
+    // Twice the video memory: refused, and the mapping stays live.
+    FbVarScreenInfo var = kernel_.framebuffer().var();
+    var.xres = var.xresVirtual = 2048;
+    EXPECT_EQ(sys(sysno::ioctl, makeArgs(fd, FBIOPUT_VSCREENINFO, &var)),
+              -ENOMEM);
+    std::uint8_t *pix = proc_->mm().resolve(static_cast<Addr>(addr), len);
+    ASSERT_NE(pix, nullptr);
+    pix[len - 1] = 0x42;
+    EXPECT_EQ(kernel_.framebuffer().pixels()[len - 1], 0x42);
+}
+
+TEST_F(SyscallTest, FramebufferMappingOutlivesShrinkThenGrow)
+{
+    const std::int64_t fd =
+        sys(sysno::open, makeArgs("/dev/fb0", O_RDWR));
+    ASSERT_GE(fd, 0);
+    const std::uint64_t len = kernel_.framebuffer().size();
+    const std::int64_t addr = sys(sysno::mmap, makeArgs(0, len, 3, 1, fd, 0));
+    ASSERT_GT(addr, 0);
+    const FbVarScreenInfo full = kernel_.framebuffer().var();
+    FbVarScreenInfo small = full;
+    small.xres = small.xresVirtual = 640;
+    small.yres = small.yresVirtual = 480;
+    EXPECT_EQ(sys(sysno::ioctl, makeArgs(fd, FBIOPUT_VSCREENINFO, &small)),
+              0);
+    EXPECT_EQ(kernel_.framebuffer().size(), 640u * 480 * 4);
+    EXPECT_EQ(sys(sysno::ioctl, makeArgs(fd, FBIOPUT_VSCREENINFO, &full)),
+              0);
+    EXPECT_EQ(kernel_.framebuffer().size(), len);
+    std::uint8_t *pix = proc_->mm().resolve(static_cast<Addr>(addr), len);
+    ASSERT_NE(pix, nullptr);
+    pix[len - 1] = 0x24;
+    pix[0] = 0x25;
+    EXPECT_EQ(kernel_.framebuffer().pixels()[len - 1], 0x24);
+    EXPECT_EQ(kernel_.framebuffer().pixels()[0], 0x25);
 }
 
 TEST_F(SyscallTest, IoctlOnRegularFileIsNotty)

@@ -210,6 +210,71 @@ TEST(Devices, FramebufferFixInfo)
     EXPECT_EQ(fix.smemLen, 320u * 200 * 4);
 }
 
+TEST(Devices, FramebufferUntouchedHoldsNoPixelsAndReadsZeros)
+{
+    FramebufferDevice fb(1024, 768, 32);
+    FbVarScreenInfo var;
+    FbFixScreenInfo fix;
+    EXPECT_EQ(fb.ioctl(FBIOGET_VSCREENINFO, &var), 0);
+    EXPECT_EQ(fb.ioctl(FBIOGET_FSCREENINFO, &fix), 0);
+    EXPECT_EQ(fix.smemLen, 1024u * 768 * 4);
+    EXPECT_EQ(fb.size(), 1024u * 768 * 4);
+    EXPECT_EQ(fb.allocatedBytes(), 0u);
+    // The first read allocates the whole video memory, zeroed.
+    std::uint8_t buf[16];
+    std::memset(buf, 0xEE, sizeof buf);
+    EXPECT_EQ(fb.read(fix.smemLen - 8, buf, sizeof buf), 8u);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(buf[i], 0) << i;
+    EXPECT_EQ(fb.read(fix.smemLen, buf, sizeof buf), 0u);
+    EXPECT_EQ(fb.allocatedBytes(), 1024u * 768 * 4);
+    EXPECT_EQ(fb.write(4, "\x11", 1), 1u);
+    EXPECT_EQ(fb.read(0, buf, 8), 8u);
+    EXPECT_EQ(buf[3], 0);
+    EXPECT_EQ(buf[4], 0x11);
+}
+
+TEST(Devices, FramebufferPutClearsContents)
+{
+    FramebufferDevice fb(8, 8, 32);
+    const std::uint8_t ones[256] = {1};
+    EXPECT_EQ(fb.write(0, ones, sizeof ones), 256u);
+    FbVarScreenInfo var = fb.var();
+    var.xres = var.xresVirtual = 4;
+    var.yres = var.yresVirtual = 4;
+    EXPECT_EQ(fb.ioctl(FBIOPUT_VSCREENINFO, &var), 0);
+    EXPECT_EQ(fb.size(), 64u);
+    EXPECT_EQ(fb.pixels().size(), 64u);
+    EXPECT_EQ(fb.pixels()[0], 0);
+}
+
+TEST(Devices, FramebufferOversizeModeIsEnomemAndKeepsOldMode)
+{
+    FramebufferDevice fb(640, 480, 32);
+    FbVarScreenInfo huge = fb.var();
+    huge.xres = huge.xresVirtual = 0xFFFFFFFFu;
+    huge.yres = huge.yresVirtual = 0xFFFFFFFFu;
+    EXPECT_EQ(fb.ioctl(FBIOPUT_VSCREENINFO, &huge), -ENOMEM);
+    // xresVirtual * 4 wraps to 0 in 32 bits; it must not pass as tiny.
+    FbVarScreenInfo wide = fb.var();
+    wide.xres = wide.xresVirtual = 0x40000000u;
+    wide.yres = wide.yresVirtual = 1;
+    EXPECT_EQ(fb.ioctl(FBIOPUT_VSCREENINFO, &wide), -ENOMEM);
+    // One byte past the video memory, through a larger virtual height.
+    FbVarScreenInfo tall = fb.var();
+    tall.yresVirtual = 481;
+    EXPECT_EQ(fb.ioctl(FBIOPUT_VSCREENINFO, &tall), -ENOMEM);
+
+    EXPECT_EQ(fb.var().xres, 640u);
+    EXPECT_EQ(fb.var().yresVirtual, 480u);
+    EXPECT_EQ(fb.size(), 640u * 480 * 4);
+    FbFixScreenInfo fix;
+    EXPECT_EQ(fb.ioctl(FBIOGET_FSCREENINFO, &fix), 0);
+    EXPECT_EQ(fix.lineLength, 640u * 4);
+    EXPECT_EQ(fix.smemLen, 640u * 480 * 4);
+    EXPECT_EQ(fb.allocatedBytes(), 0u);
+}
+
 // ---------------------------------------------------------------- FdTable
 
 TEST(FdTable, AllocatesLowestFreeDescriptor)
