@@ -80,7 +80,7 @@ replayOne(const std::string &spec)
         return 2;
     }
     const sim::gmc::RunOutcome out =
-        core::gmc::replayConfig(*mc, schedule);
+        sim::gmc::replay(core::gmc::scenario(*mc), schedule);
     std::printf("%s schedule %s: %s\n", cfgName.c_str(),
                 sim::gmc::renderSchedule(schedule).c_str(),
                 out.violation ? out.kind.c_str() : "clean");
@@ -146,7 +146,7 @@ main(int argc, char **argv)
 
         const auto t0 = std::chrono::steady_clock::now();
         const sim::gmc::ExploreResult r =
-            core::gmc::exploreConfig(mc, opts);
+            sim::gmc::explore(core::gmc::scenario(mc), opts);
         const double ms = wallMsSince(t0);
         totalSchedules += r.stats.schedulesRun;
         totalMs += ms;
@@ -179,7 +179,7 @@ main(int argc, char **argv)
             sim::gmc::ExploreOptions porOpts;
             porOpts.por = true;
             const sim::gmc::ExploreResult p =
-                core::gmc::exploreConfig(mc, porOpts);
+                sim::gmc::explore(core::gmc::scenario(mc), porOpts);
             char red[32];
             std::snprintf(
                 red, sizeof red, "%.1fx",

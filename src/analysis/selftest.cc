@@ -996,6 +996,14 @@ clampedForward(const SyscallArgs &args)
          "void f(Vfs &v) { v.install(p, "
          "std::make_shared<SysfsFile>(r, w, 0, 1)); }",
          {});
+    lint("token-ring-fork-in-a-new-file",
+         "src/core/backend/polling_backend.cc",
+         "int f(const GenesysParams &p) { return p.useRings ? 1 : 2; }",
+         {{"ring-mode-sites", 1}});
+    lint("token-ring-fork-in-the-client-ok", "src/core/client.cc",
+         "Tick f(const GenesysParams &p) "
+         "{ return p.useRings ? p.perLanePopulate : 0; }",
+         {});
     lint("token-mutant-query-ok", "src/core/client.cc",
          "bool f() { return mutant::on(Mutant::RacyConsume); }", {});
     lint("token-readsegments-outside-the-audited-loan-paths",

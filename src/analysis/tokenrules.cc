@@ -138,6 +138,16 @@ const std::vector<BannedTokens> kBannedTokens = {
      "sysfs files are made only by osk::installSysfsFile; declare a "
      "/sys/genesys counter or knob as a row of the counter table in "
      "core/system.cc (fault knobs: osk/fault.cc)"},
+    // The slot/ring fork stays where it is decided today, so it can
+    // only shrink: the client's cost rule, submit and CQ poll, the
+    // interrupt backend, and the config that carries the flag.
+    {"ring-mode-sites",
+     {{"useRings"}},
+     {"core/params.hh", "core/slot.hh", "core/gmc.hh", "core/gmc.cc",
+      "core/client.cc", "core/backend/interrupt_backend.cc"},
+     "a new slot/ring fork; ask SyscallArea::ringsEnabled() or route "
+     "through GpuSyscalls' cost rule and submit() instead of reading "
+     "useRings again"},
 };
 
 /// One finding per banned-token rule per line.

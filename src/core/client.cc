@@ -6,6 +6,7 @@
 #include "client.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 
 #include "support/gmc_probe.hh"
@@ -63,21 +64,27 @@ GpuSyscalls::sanActor(gpu::WavefrontCtx &ctx)
     gsan_->setActor(gsan_->waveThread(ctx.hwWaveSlot()));
 }
 
+Tick
+GpuSyscalls::slotOpCost(Tick atomic, bool lead) const
+{
+    // Ring mode: the batch's SQ claim and tail release inside
+    // ringSubmit are the fabric operations that serialize it against
+    // other agents and make it visible. A slot claim is then a CAS on
+    // the lane's own statically-assigned line (it only ever races the
+    // host recycling that same slot) and a slot publish is plain
+    // stores into space the lane exclusively claimed, so both are
+    // charged at populate cost, not as second global round-trips.
+    return lead && !params_.useRings ? atomic : params_.perLanePopulate;
+}
+
 sim::Task<>
 GpuSyscalls::claimSlot(gpu::WavefrontCtx &ctx, std::uint32_t item_slot)
 {
     SyscallSlot &slot = area_.slot(item_slot);
     const mem::Addr addr = area_.slotAddr(item_slot);
     for (;;) {
-        // Ring mode: the SQ claim inside ringSubmit is the one fabric
-        // atomic that serializes this call against other agents; the
-        // slot claim is a CAS on the lane's own statically-assigned
-        // line (it only ever races the host recycling that same
-        // slot), so it is charged at populate cost, not as a second
-        // global round-trip.
-        co_await gpu_.accessLine(addr, params_.useRings
-                                           ? params_.perLanePopulate
-                                           : gpu_.config().atomicCmpSwap);
+        co_await gpu_.accessLine(addr,
+                                 slotOpCost(gpu_.config().atomicCmpSwap));
         if (sanOn())
             sanActor(ctx);
         if (slot.claim())
@@ -87,18 +94,43 @@ GpuSyscalls::claimSlot(gpu::WavefrontCtx &ctx, std::uint32_t item_slot)
     }
 }
 
+void
+GpuSyscalls::publish(gpu::WavefrontCtx &ctx, Invocation inv, int sysno,
+                     const osk::SyscallArgs &args, std::uint32_t item_slot)
+{
+    if (sanOn())
+        sanActor(ctx);
+    area_.slot(item_slot).publish(sysno, args,
+                                  inv.blocking == Blocking::Blocking,
+                                  inv.waitMode, ctx.hwWaveSlot());
+    ++issued_;
+    area_.noteIssued(area_.shardOfWave(ctx.hwWaveSlot()));
+}
+
 sim::Task<>
-GpuSyscalls::ringSubmit(gpu::WavefrontCtx &ctx,
-                        const std::uint32_t *slots, std::uint32_t n)
+GpuSyscalls::submit(gpu::WavefrontCtx &ctx, std::uint32_t first_slot,
+                    std::uint64_t lane_mask)
+{
+    if (params_.useRings)
+        return ringSubmit(ctx, first_slot, lane_mask);
+    // One scalar s_sendmsg for the whole wavefront.
+    gpu_.sendInterrupt(ctx.hwWaveSlot());
+    return {};
+}
+
+sim::Task<>
+GpuSyscalls::ringSubmit(gpu::WavefrontCtx &ctx, std::uint32_t first_slot,
+                        std::uint64_t lane_mask)
 {
     const std::uint32_t shard = area_.shardOfWave(ctx.hwWaveSlot());
     SyscallRing &sq = area_.sq(shard);
     const mem::Addr addr = area_.sqAddr(shard);
 
-    std::uint32_t submitted = 0;
-    while (submitted < n) {
-        const std::uint32_t chunk =
-            std::min(n - submitted, sq.capacity());
+    std::uint64_t left = lane_mask;
+    while (left != 0) {
+        const std::uint32_t chunk = std::min(
+            static_cast<std::uint32_t>(std::popcount(left)),
+            sq.capacity());
 
         const bool skip_doorbell =
             mutant::on(Mutant::RingDropDoorbell) && !sq.empty();
@@ -129,7 +161,9 @@ GpuSyscalls::ringSubmit(gpu::WavefrontCtx &ctx,
         // populate cost instead of paying per-entry fabric atomics.
         for (std::uint32_t i = 0; i < chunk; ++i) {
             co_await gpu_.accessLine(addr, params_.perLanePopulate);
-            sq.writeEntry(base + i, slots[submitted + i]);
+            sq.writeEntry(base + i,
+                          first_slot + std::countr_zero(left));
+            left &= left - 1;
         }
 
         // Publish in claim order; a later claimant waits for earlier
@@ -151,7 +185,6 @@ GpuSyscalls::ringSubmit(gpu::WavefrontCtx &ctx,
             }
             gpu_.sendInterrupt(ctx.hwWaveSlot());
         }
-        submitted += chunk;
     }
 }
 
@@ -252,123 +285,114 @@ GpuSyscalls::waitSlots(
 
 sim::Task<std::int64_t>
 GpuSyscalls::issueOnce(gpu::WavefrontCtx &ctx, Invocation inv,
-                       int sysno, const osk::SyscallArgs &args,
-                       std::uint32_t item_slot)
+                       int sysno, const osk::SyscallArgs &args)
 {
-    SyscallSlot &slot = area_.slot(item_slot);
-    const mem::Addr addr = area_.slotAddr(item_slot);
+    const std::uint32_t item_slot =
+        area_.firstItemSlotOfWave(ctx.hwWaveSlot());
 
     co_await claimSlot(ctx, item_slot);
     co_await sim::Delay(ctx.sim().events(), params_.perLanePopulate);
-    if (!params_.useRings && mutant::on(Mutant::DoorbellBeforePublish))
+    // Seeded slot-mode bug: the doorbell rings before the publish it
+    // announces, and not again after it.
+    const bool early_doorbell =
+        !params_.useRings && mutant::on(Mutant::DoorbellBeforePublish);
+    if (early_doorbell)
         gpu_.sendInterrupt(ctx.hwWaveSlot());
-    if (params_.useRings) {
-        // Ring mode: the slot payload is plain stores into space this
-        // lane exclusively claimed — the SQ tail release (+ one
-        // doorbell per batch) inside ringSubmit below is the batch's
-        // single visibility point, so the slot's own publish needs no
-        // fabric round-trip of its own.
-        co_await gpu_.accessLine(addr, params_.perLanePopulate);
-    } else {
-        co_await gpu_.accessLine(addr, gpu_.config().atomicSwap);
-    }
-    if (sanOn())
-        sanActor(ctx);
-    slot.publish(sysno, args, inv.blocking == Blocking::Blocking,
-                 inv.waitMode, ctx.hwWaveSlot());
-    ++issued_;
-    area_.noteIssued(area_.shardOfWave(ctx.hwWaveSlot()));
+    co_await gpu_.accessLine(area_.slotAddr(item_slot),
+                             slotOpCost(gpu_.config().atomicSwap));
+    publish(ctx, inv, sysno, args, item_slot);
     GENESYS_TRACE(ctx.sim(), "genesys",
                   "wave %u publishes sysno %d (%s, %s, %s)",
                   ctx.hwWaveSlot(), sysno, orderingName(inv.ordering),
                   blockingName(inv.blocking),
                   waitModeName(inv.waitMode));
-    if (params_.useRings) {
-        // Ring path: enqueue the slot index on the shard SQ; the
-        // doorbell rings once per batch inside ringSubmit.
-        const std::uint32_t batch[1] = {item_slot};
-        co_await ringSubmit(ctx, batch, 1);
-    } else if (!mutant::on(Mutant::DoorbellBeforePublish)) {
-        gpu_.sendInterrupt(ctx.hwWaveSlot());
-    }
+    if (!early_doorbell)
+        co_await submit(ctx, item_slot, 1);
 
     if (mutant::on(Mutant::RacyPeekBeforeFinished) &&
         inv.blocking == Blocking::Blocking) {
         if (sanOn())
             sanActor(ctx);
-        (void)slot.racyPeekResult();
+        (void)area_.slot(item_slot).racyPeekResult();
     }
 
     if (inv.blocking == Blocking::NonBlocking)
         co_return 0;
 
     std::int64_t result = 0;
-    const std::uint32_t lane_in_wave =
-        item_slot - area_.firstItemSlotOfWave(ctx.hwWaveSlot());
-    co_await waitSlots(ctx, inv, area_.firstItemSlotOfWave(
-                                     ctx.hwWaveSlot()),
-                       1ull << lane_in_wave,
+    co_await waitSlots(ctx, inv, item_slot, 1,
                        [&result](std::uint32_t, std::int64_t r) {
                            result = r;
                        });
     co_return result;
 }
 
-sim::Task<std::int64_t>
-GpuSyscalls::issueAndWait(gpu::WavefrontCtx &ctx, Invocation inv,
-                          int sysno, osk::SyscallArgs args,
-                          std::uint32_t item_slot)
+GpuSyscalls::Recover
+GpuSyscalls::recover(int sysno, osk::SyscallArgs &args, Recovery &rec,
+                     std::int64_t &ret)
 {
-    // Non-blocking requesters never see the result, so there is
-    // nothing to recover here; the host restarts those on our behalf.
-    if (inv.blocking == Blocking::NonBlocking)
-        co_return co_await issueOnce(ctx, inv, sysno, args, item_slot);
-
-    const bool transfer = osk::transferSyscall(sysno);
+    if (ret == -EINTR && rec.restarts < params_.eintrMaxRestarts) {
+        // SA_RESTART semantics: reissue with identical arguments.
+        ++rec.restarts;
+        ++retries_;
+        return Recover::Reissue;
+    }
     // MSG_DONTWAIT turns -EAGAIN into the call's normal "drained"
     // return (the edge-triggered consumer's loop terminator), so the
     // libc layer must surface it instead of burning backoff retries.
     const bool dontwait =
-        (sysno == osk::sysno::recvmsg ||
-         sysno == osk::sysno::sendmsg) &&
+        (sysno == osk::sysno::recvmsg || sysno == osk::sysno::sendmsg) &&
         (args.a[3] & osk::MSG_DONTWAIT_) != 0;
-    const std::uint64_t want = transfer ? args.a[2] : 0;
-    std::uint64_t done = 0;
-    std::uint32_t restarts = 0;
-    std::uint32_t congested = 0;
+    if (ret == -EAGAIN && !dontwait &&
+        rec.congested < params_.eagainMaxRetries) {
+        ++rec.congested;
+        ++retries_;
+        return Recover::Backoff;
+    }
+    if (!osk::transferSyscall(sysno))
+        return Recover::Done;
+    if (ret < 0) {
+        // A partially-completed transfer reports its progress (the
+        // readn/writen convention); an error on the first round
+        // surfaces as-is.
+        if (rec.done > 0)
+            ret = static_cast<std::int64_t>(rec.done);
+        return Recover::Done;
+    }
+    const auto got = static_cast<std::uint64_t>(ret);
+    rec.done += got;
+    rec.restarts = 0;
+    rec.congested = 0;
+    // args.a[2] is the count still outstanding before this round.
+    if (got == 0 || got >= args.a[2]) {
+        ret = static_cast<std::int64_t>(rec.done);
+        return Recover::Done;
+    }
+    ++shortTransfers_;
+    osk::advanceTransferArgs(sysno, args, got);
+    return Recover::Reissue;
+}
+
+sim::Task<std::int64_t>
+GpuSyscalls::issueAndWait(gpu::WavefrontCtx &ctx, Invocation inv,
+                          int sysno, osk::SyscallArgs args)
+{
+    // Non-blocking requesters never see the result, so there is
+    // nothing to recover here; the host restarts those on our behalf.
+    if (inv.blocking == Blocking::NonBlocking)
+        co_return co_await issueOnce(ctx, inv, sysno, args);
+
+    Recovery rec;
     for (;;) {
-        const std::int64_t ret =
-            co_await issueOnce(ctx, inv, sysno, args, item_slot);
-        if (ret == -EINTR && restarts < params_.eintrMaxRestarts) {
-            // SA_RESTART semantics: reissue with identical arguments.
-            ++restarts;
-            ++retries_;
-            continue;
-        }
-        if (ret == -EAGAIN && !dontwait &&
-            congested < params_.eagainMaxRetries) {
-            co_await ctx.compute(params_.eagainBackoffCycles
-                                 << congested);
-            ++congested;
-            ++retries_;
-            continue;
-        }
-        if (!transfer)
+        std::int64_t ret = co_await issueOnce(ctx, inv, sysno, args);
+        const Recover next = recover(sysno, args, rec, ret);
+        if (next == Recover::Done)
             co_return ret;
-        if (ret < 0) {
-            // A partially-completed transfer reports its progress (the
-            // readn/writen convention); an error on the first round
-            // surfaces as-is.
-            co_return done > 0 ? static_cast<std::int64_t>(done) : ret;
+        if (next == Recover::Backoff) {
+            // Exponential: each consecutive retry doubles the stall.
+            co_await ctx.compute(params_.eagainBackoffCycles
+                                 << (rec.congested - 1));
         }
-        done += static_cast<std::uint64_t>(ret);
-        restarts = 0;
-        congested = 0;
-        if (ret == 0 || done >= want)
-            co_return static_cast<std::int64_t>(done);
-        ++shortTransfers_;
-        osk::advanceTransferArgs(sysno, args,
-                                 static_cast<std::uint64_t>(ret));
     }
 }
 
@@ -401,9 +425,7 @@ GpuSyscalls::invokeWorkGroup(gpu::WavefrontCtx &ctx,
             // the buffer this call consumes (Section VI).
             co_await sim::Delay(ctx.sim().events(), params_.l1FlushCost);
         }
-        ret = co_await issueAndWait(
-            ctx, inv, sysno, args,
-            area_.firstItemSlotOfWave(ctx.hwWaveSlot()));
+        ret = co_await issueAndWait(ctx, inv, sysno, args);
     }
 
     if (sanOn()) {
@@ -434,9 +456,7 @@ GpuSyscalls::invokeKernel(gpu::WavefrontCtx &ctx, Invocation inv,
         co_return 0;
     if (inv.role == Role::Consumer)
         co_await sim::Delay(ctx.sim().events(), params_.l1FlushCost);
-    co_return co_await issueAndWait(
-        ctx, inv, sysno, args,
-        area_.firstItemSlotOfWave(ctx.hwWaveSlot()));
+    co_return co_await issueAndWait(ctx, inv, sysno, args);
 }
 
 sim::Task<>
@@ -474,20 +494,7 @@ GpuSyscalls::invokeWorkItems(
     // continuation + EINTR/EAGAIN retry budget, but rounds stay
     // wavefront-wide (all still-pending lanes reissue together, one
     // interrupt per round) to keep the SIMD issue model.
-    const bool transfer = osk::transferSyscall(sysno);
-    struct LaneRec
-    {
-        std::uint64_t want = 0;
-        std::uint64_t done = 0;
-        std::uint32_t restarts = 0;
-        std::uint32_t congested = 0;
-    };
-    std::vector<LaneRec> rec(ctx.laneCount());
-    for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
-        if (mask & (1ull << lane))
-            rec[lane].want = transfer ? args[lane].a[2] : 0;
-    }
-
+    std::vector<Recovery> rec(ctx.laneCount());
     std::uint64_t pending = mask;
     while (pending != 0) {
         // Claim every pending lane's slot. The SIMD unit issues the
@@ -500,12 +507,8 @@ GpuSyscalls::invokeWorkItems(
             SyscallSlot &slot = area_.slot(first_slot + lane);
             const mem::Addr addr = area_.slotAddr(first_slot + lane);
             for (;;) {
-                // Ring mode: the round's SQ claim carries the fabric
-                // serialization (see claimSlot), so no leading CAS.
                 co_await gpu_.accessLine(
-                    addr, first && !params_.useRings
-                              ? gpu_.config().atomicCmpSwap
-                              : params_.perLanePopulate);
+                    addr, slotOpCost(gpu_.config().atomicCmpSwap, first));
                 if (sanOn())
                     sanActor(ctx);
                 if (slot.claim())
@@ -521,42 +524,14 @@ GpuSyscalls::invokeWorkItems(
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             if ((pending & (1ull << lane)) == 0)
                 continue;
-            SyscallSlot &slot = area_.slot(first_slot + lane);
-            const mem::Addr addr = area_.slotAddr(first_slot + lane);
-            // Ring mode: the round's SQ publish is the visibility
-            // point for every lane's slot, so the per-slot publishes
-            // are plain stores (no leading fabric atomic).
             co_await gpu_.accessLine(
-                addr, first && !params_.useRings
-                          ? gpu_.config().atomicSwap
-                          : params_.perLanePopulate);
-            if (sanOn())
-                sanActor(ctx);
-            slot.publish(sysno, args[lane],
-                         inv.blocking == Blocking::Blocking,
-                         inv.waitMode, ctx.hwWaveSlot());
-            ++issued_;
-            area_.noteIssued(area_.shardOfWave(ctx.hwWaveSlot()));
+                area_.slotAddr(first_slot + lane),
+                slotOpCost(gpu_.config().atomicSwap, first));
+            publish(ctx, inv, sysno, args[lane], first_slot + lane);
             first = false;
         }
 
-        if (params_.useRings) {
-            // The whole round is one SQ batch: every pending lane's
-            // slot index, one doorbell.
-            std::vector<std::uint32_t> batch;
-            batch.reserve(ctx.laneCount());
-            for (std::uint32_t lane = 0; lane < ctx.laneCount();
-                 ++lane) {
-                if (pending & (1ull << lane))
-                    batch.push_back(first_slot + lane);
-            }
-            co_await ringSubmit(ctx, batch.data(),
-                                static_cast<std::uint32_t>(
-                                    batch.size()));
-        } else {
-            // One scalar s_sendmsg for the whole wavefront.
-            gpu_.sendInterrupt(ctx.hwWaveSlot());
-        }
+        co_await submit(ctx, first_slot, pending);
 
         if (inv.blocking == Blocking::NonBlocking)
             co_return; // fire-and-forget: host recovers on our behalf
@@ -566,60 +541,19 @@ GpuSyscalls::invokeWorkItems(
         co_await waitSlots(
             ctx, inv, first_slot, pending,
             [&](std::uint32_t lane, std::int64_t ret) {
-                LaneRec &r = rec[lane];
-                if (ret == -EINTR &&
-                    r.restarts < params_.eintrMaxRestarts) {
-                    ++r.restarts;
-                    ++retries_;
-                    next |= 1ull << lane;
-                    return;
-                }
-                // MSG_DONTWAIT lanes read -EAGAIN as "drained", the
-                // normal edge-triggered loop terminator: surface it.
-                const bool dontwait =
-                    (sysno == osk::sysno::recvmsg ||
-                     sysno == osk::sysno::sendmsg) &&
-                    (args[lane].a[3] & osk::MSG_DONTWAIT_) != 0;
-                if (ret == -EAGAIN && !dontwait &&
-                    r.congested < params_.eagainMaxRetries) {
-                    ++r.congested;
-                    ++retries_;
-                    backoff = true;
-                    next |= 1ull << lane;
-                    return;
-                }
-                if (!transfer) {
+                const Recover step =
+                    recover(sysno, args[lane], rec[lane], ret);
+                if (step == Recover::Done) {
                     if (on_result)
                         on_result(lane, ret);
                     return;
                 }
-                if (ret < 0) {
-                    if (on_result)
-                        on_result(lane,
-                                  r.done > 0
-                                      ? static_cast<std::int64_t>(
-                                            r.done)
-                                      : ret);
-                    return;
-                }
-                r.done += static_cast<std::uint64_t>(ret);
-                r.restarts = 0;
-                r.congested = 0;
-                if (ret != 0 && r.done < r.want) {
-                    ++shortTransfers_;
-                    osk::advanceTransferArgs(
-                        sysno, args[lane],
-                        static_cast<std::uint64_t>(ret));
-                    next |= 1ull << lane;
-                    return;
-                }
-                if (on_result)
-                    on_result(lane,
-                              static_cast<std::int64_t>(r.done));
+                backoff |= step == Recover::Backoff;
+                next |= 1ull << lane;
             });
         if (backoff) {
-            // One wavefront-wide stall covers every congested lane
-            // (they retry together anyway).
+            // One flat wavefront-wide stall covers every congested
+            // lane (they retry together anyway).
             co_await ctx.compute(params_.eagainBackoffCycles);
         }
         pending = next;
@@ -646,11 +580,13 @@ GpuSyscalls::invokeWorkItemsVectored(
         auto v = lane_vecs(lane);
         if (!v)
             continue;
-        GENESYS_ASSERT(v->cnt >= 0 &&
-                           static_cast<std::uint32_t>(v->cnt) <=
-                               per_lane,
-                       "lane %u stages %d iovecs (window holds %u)",
-                       lane, v->cnt, per_lane);
+        if (v->cnt < 0 || static_cast<std::uint32_t>(v->cnt) > per_lane) {
+            // A count the lane's window cannot hold fails that lane
+            // alone, as readv/writev past IOV_MAX do.
+            if (on_result && inv.blocking == Blocking::Blocking)
+                on_result(lane, -EINVAL);
+            continue;
+        }
         osk::IoVec *dst = win + std::size_t(lane) * per_lane;
         for (int i = 0; i < v->cnt; ++i)
             dst[i] = v->iov[i];
@@ -675,150 +611,109 @@ GpuSyscalls::invokeWorkItemsVectored(
 
 // --------------------------------------------------------- POSIX wrappers
 
-namespace
-{
-
-Invocation
-withRole(Invocation inv, Role role)
+sim::Task<std::int64_t>
+GpuSyscalls::invoke(gpu::WavefrontCtx &ctx, Invocation inv, Role role,
+                    int sysno, const osk::SyscallArgs &args)
 {
     inv.role = role;
-    return inv;
+    if (inv.granularity == Granularity::Kernel)
+        return invokeKernel(ctx, inv, sysno, args);
+    return invokeWorkGroup(ctx, inv, sysno, args);
 }
 
-} // namespace
-
 sim::Task<std::int64_t>
-GpuSyscalls::open(gpu::WavefrontCtx &ctx, Invocation inv,
-                  const char *path, int flags)
+GpuSyscalls::open(gpu::WavefrontCtx &ctx, Invocation inv, const char *path,
+                  int flags)
 {
-    const auto args = osk::makeArgs(path, flags);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::open, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::open, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::open,
+                  osk::makeArgs(path, flags));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::close(gpu::WavefrontCtx &ctx, Invocation inv, int fd)
 {
-    const auto args = osk::makeArgs(fd);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::close, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::close, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::close,
+                  osk::makeArgs(fd));
 }
 
 sim::Task<std::int64_t>
-GpuSyscalls::read(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                  void *buf, std::uint64_t len)
+GpuSyscalls::read(gpu::WavefrontCtx &ctx, Invocation inv, int fd, void *buf,
+                  std::uint64_t len)
 {
-    const auto args = osk::makeArgs(fd, buf, len);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::read, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::read, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::read,
+                  osk::makeArgs(fd, buf, len));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::write(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
                    const void *buf, std::uint64_t len)
 {
-    const auto args = osk::makeArgs(fd, buf, len);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::write, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::write, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::write,
+                  osk::makeArgs(fd, buf, len));
 }
 
 sim::Task<std::int64_t>
-GpuSyscalls::pread(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                   void *buf, std::uint64_t len, std::int64_t offset)
+GpuSyscalls::pread(gpu::WavefrontCtx &ctx, Invocation inv, int fd, void *buf,
+                   std::uint64_t len, std::int64_t offset)
 {
-    const auto args = osk::makeArgs(fd, buf, len, offset);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::pread64, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::pread64, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::pread64,
+                  osk::makeArgs(fd, buf, len, offset));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::pwrite(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                    const void *buf, std::uint64_t len,
-                    std::int64_t offset)
+                    const void *buf, std::uint64_t len, std::int64_t offset)
 {
-    const auto args = osk::makeArgs(fd, buf, len, offset);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::pwrite64, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::pwrite64, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::pwrite64,
+                  osk::makeArgs(fd, buf, len, offset));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::lseek(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
                    std::int64_t offset, int whence)
 {
-    const auto args = osk::makeArgs(fd, offset, whence);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::lseek, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::lseek, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::lseek,
+                  osk::makeArgs(fd, offset, whence));
 }
 
 sim::Task<std::int64_t>
-GpuSyscalls::mmap(gpu::WavefrontCtx &ctx, Invocation inv,
-                  std::uint64_t length, int fd)
+GpuSyscalls::mmap(gpu::WavefrontCtx &ctx, Invocation inv, std::uint64_t length,
+                  int fd)
 {
-    const auto args = osk::makeArgs(0, length, 3, 0x22, fd, 0);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::mmap, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::mmap, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::mmap,
+                  osk::makeArgs(0, length, 3, 0x22, fd, 0));
 }
 
 sim::Task<std::int64_t>
-GpuSyscalls::munmap(gpu::WavefrontCtx &ctx, Invocation inv,
-                    std::uint64_t addr, std::uint64_t length)
+GpuSyscalls::munmap(gpu::WavefrontCtx &ctx, Invocation inv, std::uint64_t addr,
+                    std::uint64_t length)
 {
-    const auto args = osk::makeArgs(addr, length);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::munmap, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::munmap, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::munmap,
+                  osk::makeArgs(addr, length));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::madvise(gpu::WavefrontCtx &ctx, Invocation inv,
-                     std::uint64_t addr, std::uint64_t length,
-                     int advice)
+                     std::uint64_t addr, std::uint64_t length, int advice)
 {
-    const auto args = osk::makeArgs(addr, length, advice);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::madvise, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::madvise, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::madvise,
+                  osk::makeArgs(addr, length, advice));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::getrusage(gpu::WavefrontCtx &ctx, Invocation inv,
                        osk::RUsage *usage)
 {
-    const auto args = osk::makeArgs(0, usage);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::getrusage, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::getrusage, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::getrusage,
+                  osk::makeArgs(0, usage));
 }
 
 sim::Task<std::int64_t>
-GpuSyscalls::rtSigqueueinfo(gpu::WavefrontCtx &ctx, Invocation inv,
-                            int pid, int signo,
-                            const osk::SigInfo *info)
+GpuSyscalls::rtSigqueueinfo(gpu::WavefrontCtx &ctx, Invocation inv, int pid,
+                            int signo, const osk::SigInfo *info)
 {
-    const auto args = osk::makeArgs(pid, signo, info);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::rt_sigqueueinfo, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::rt_sigqueueinfo, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::rt_sigqueueinfo,
+                  osk::makeArgs(pid, signo, info));
 }
 
 sim::Task<std::int64_t>
@@ -826,159 +721,114 @@ GpuSyscalls::sendto(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
                     const void *buf, std::uint64_t len,
                     const osk::SockAddr *dest)
 {
-    const auto args = osk::makeArgs(fd, buf, len, 0, dest, 8);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::sendto, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::sendto, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::sendto,
+                  osk::makeArgs(fd, buf, len, 0, dest, 8));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::recvfrom(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
                       void *buf, std::uint64_t len, osk::SockAddr *src)
 {
-    const auto args = osk::makeArgs(fd, buf, len, 0, src, 8);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::recvfrom, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::recvfrom, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::recvfrom,
+                  osk::makeArgs(fd, buf, len, 0, src, 8));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::ioctl(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
                    std::uint64_t request, void *argp)
 {
-    const auto args = osk::makeArgs(fd, request, argp);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::ioctl, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::ioctl, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::ioctl,
+                  osk::makeArgs(fd, request, argp));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::readv(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
                    const osk::IoVec *iov, int cnt)
 {
-    const auto args = osk::makeArgs(fd, iov, cnt);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::readv, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::readv, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::readv,
+                  osk::makeArgs(fd, iov, cnt));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::writev(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
                     const osk::IoVec *iov, int cnt)
 {
-    const auto args = osk::makeArgs(fd, iov, cnt);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::writev, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::writev, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::writev,
+                  osk::makeArgs(fd, iov, cnt));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::sendmsg(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                     const osk::IoVec *iov, int cnt,
-                     std::uint64_t flags)
+                     const osk::IoVec *iov, int cnt, std::uint64_t flags)
 {
-    const auto args = osk::makeArgs(fd, iov, cnt, flags);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::sendmsg, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::sendmsg, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::sendmsg,
+                  osk::makeArgs(fd, iov, cnt, flags));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::recvmsg(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
                      osk::IoVec *iov, int cnt, std::uint64_t flags)
 {
-    const auto args = osk::makeArgs(fd, iov, cnt, flags);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::recvmsg, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::recvmsg, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::recvmsg,
+                  osk::makeArgs(fd, iov, cnt, flags));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::connect(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
                      const osk::SockAddr *addr)
 {
-    const auto args = osk::makeArgs(fd, addr, 8);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::connect, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::connect, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::connect,
+                  osk::makeArgs(fd, addr, 8));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::listen(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
                     int backlog)
 {
-    const auto args = osk::makeArgs(fd, backlog);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::listen, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::listen, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::listen,
+                  osk::makeArgs(fd, backlog));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::accept(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
                     osk::SockAddr *peer)
 {
-    const auto args = osk::makeArgs(fd, peer, 8);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::accept, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::accept, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::accept,
+                  osk::makeArgs(fd, peer, 8));
 }
 
 sim::Task<std::int64_t>
-GpuSyscalls::shutdown(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                      int how)
+GpuSyscalls::shutdown(gpu::WavefrontCtx &ctx, Invocation inv, int fd, int how)
 {
-    const auto args = osk::makeArgs(fd, how);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::shutdown, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::shutdown, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::shutdown,
+                  osk::makeArgs(fd, how));
 }
 
 sim::Task<std::int64_t>
 GpuSyscalls::epollCreate(gpu::WavefrontCtx &ctx, Invocation inv)
 {
-    const auto args = osk::makeArgs(1);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::epoll_create, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::epoll_create, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::epoll_create,
+                  osk::makeArgs(1));
 }
 
 sim::Task<std::int64_t>
-GpuSyscalls::epollCtl(gpu::WavefrontCtx &ctx, Invocation inv,
-                      int epfd, int op, int fd,
-                      const osk::EpollEvent *event)
+GpuSyscalls::epollCtl(gpu::WavefrontCtx &ctx, Invocation inv, int epfd, int op,
+                      int fd, const osk::EpollEvent *event)
 {
-    const auto args = osk::makeArgs(epfd, op, fd, event);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::epoll_ctl, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::epoll_ctl, args);
+    return invoke(ctx, inv, Role::Consumer, osk::sysno::epoll_ctl,
+                  osk::makeArgs(epfd, op, fd, event));
 }
 
 sim::Task<std::int64_t>
-GpuSyscalls::epollWait(gpu::WavefrontCtx &ctx, Invocation inv,
-                       int epfd, osk::EpollEvent *events,
-                       int max_events, std::int64_t timeout_ns)
+GpuSyscalls::epollWait(gpu::WavefrontCtx &ctx, Invocation inv, int epfd,
+                       osk::EpollEvent *events, int max_events,
+                       std::int64_t timeout_ns)
 {
     // arg[4]: waiter hint (this wave's hardware slot) for per-shard
     // readiness fanout accounting — the epoll slot payload layout.
-    const auto args = osk::makeArgs(epfd, events, max_events,
-                                    timeout_ns, ctx.hwWaveSlot());
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::epoll_wait, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::epoll_wait, args);
+    return invoke(ctx, inv, Role::Producer, osk::sysno::epoll_wait,
+                  osk::makeArgs(epfd, events, max_events, timeout_ns,
+                                ctx.hwWaveSlot()));
 }
 
 } // namespace genesys::core

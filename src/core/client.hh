@@ -144,9 +144,11 @@ class GpuSyscalls
      * the shard descriptor page (one timed store per touched line, at
      * most iovecEntriesPerLane descriptors per lane), then the wave
      * issues one request per lane whose SQ entry carries the whole
-     * list by reference. Semantics otherwise match invokeWorkItems
-     * (strong ordering implied, per-lane recovery, one doorbell per
-     * round in ring mode).
+     * list by reference. A lane whose count is negative or exceeds
+     * its window gets -EINVAL (readv past IOV_MAX) and issues
+     * nothing. Semantics otherwise match invokeWorkItems (strong
+     * ordering implied, per-lane recovery, one doorbell per round in
+     * ring mode).
      */
     sim::Task<>
     invokeWorkItemsVectored(
@@ -259,33 +261,77 @@ class GpuSyscalls
     std::uint64_t ringFullRetries() const { return ringFullRetries_; }
 
   private:
+    /** Granularity dispatch for the POSIX wrappers: kernel or group. */
+    sim::Task<std::int64_t> invoke(gpu::WavefrontCtx &ctx,
+                                   Invocation inv, Role role, int sysno,
+                                   const osk::SyscallArgs &args);
+
+    /** One request's requester-side recovery state. */
+    struct Recovery
+    {
+        std::uint64_t done = 0; ///< bytes transferred so far
+        std::uint32_t restarts = 0;
+        std::uint32_t congested = 0;
+    };
+
+    /** What a requester does next with a result (see recover()). */
+    enum class Recover
+    {
+        Done,    ///< surface the (rewritten) result
+        Reissue, ///< issue again now with the (advanced) arguments
+        Backoff, ///< stall, then issue again
+    };
+
     /**
-     * Leader-lane recovery wrapper (the libc layer of the GPU client):
-     * restarts -EINTR results, retries -EAGAIN with bounded
-     * exponential backoff, and reissues short read/write transfers
-     * for the remaining bytes, returning the accumulated count. Runs
-     * entirely in the leader's serial section, so no barrier in the
-     * granularity wrappers is ever re-crossed.
+     * The libc layer shared by the leader-lane and per-lane paths:
+     * EINTR restart, EAGAIN retry budget, short-transfer continuation
+     * (advancing @p args). On Done, @p ret holds the value to surface.
+     * Each caller owns its stall (leader: doubling; wave: flat).
+     */
+    Recover recover(int sysno, osk::SyscallArgs &args, Recovery &rec,
+                    std::int64_t &ret);
+
+    /**
+     * Leader-lane issue loop: issueOnce() until recover() says Done.
+     * Runs entirely in the leader's serial section, so no barrier in
+     * the granularity wrappers is ever re-crossed.
      */
     sim::Task<std::int64_t> issueAndWait(gpu::WavefrontCtx &ctx,
                                          Invocation inv,
                                          int sysno,
-                                         osk::SyscallArgs args,
-                                         std::uint32_t item_slot);
+                                         osk::SyscallArgs args);
 
     /**
-     * One issue round: claim slot, populate, publish, raise the
-     * interrupt, and (for blocking calls) wait and consume the result.
+     * One issue round on the wave's first slot: claim, populate,
+     * publish, submit, and (for blocking calls) wait and consume the
+     * result.
      */
     sim::Task<std::int64_t> issueOnce(gpu::WavefrontCtx &ctx,
                                       Invocation inv,
                                       int sysno,
-                                      const osk::SyscallArgs &args,
-                                      std::uint32_t item_slot);
+                                      const osk::SyscallArgs &args);
+
+    /**
+     * Client cost model (DESIGN.md §13) of a slot claim or publish:
+     * @p atomic for a slot-mode round's lead lane, else populate cost.
+     */
+    Tick slotOpCost(Tick atomic, bool lead = true) const;
 
     /** Claim the slot, retrying while it is busy. */
     sim::Task<> claimSlot(gpu::WavefrontCtx &ctx,
                           std::uint32_t item_slot);
+
+    /** Publish a claimed, populated slot (untimed; caller charges). */
+    void publish(gpu::WavefrontCtx &ctx, Invocation inv, int sysno,
+                 const osk::SyscallArgs &args, std::uint32_t item_slot);
+
+    /**
+     * Hand the published slots (@p first_slot + each lane in
+     * @p lane_mask) to the host: ringSubmit in ring mode, else one
+     * s_sendmsg, sent at the call (the returned task is then empty).
+     */
+    sim::Task<> submit(gpu::WavefrontCtx &ctx, std::uint32_t first_slot,
+                       std::uint64_t lane_mask);
 
     /**
      * Ring-mode batch submission (DESIGN.md §13): claim a range of SQ
@@ -294,7 +340,8 @@ class GpuSyscalls
      * Batches larger than the SQ capacity split into chunks.
      */
     sim::Task<> ringSubmit(gpu::WavefrontCtx &ctx,
-                           const std::uint32_t *slots, std::uint32_t n);
+                           std::uint32_t first_slot,
+                           std::uint64_t lane_mask);
 
     /** Poll (or halt) until every listed slot finishes; consume all. */
     sim::Task<> waitSlots(gpu::WavefrontCtx &ctx, Invocation inv,

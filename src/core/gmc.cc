@@ -611,19 +611,6 @@ netScenario(const McConfig &mc)
     };
 }
 
-sim::gmc::ExploreResult
-exploreNetConfig(const McConfig &mc,
-                 const sim::gmc::ExploreOptions &opts)
-{
-    return sim::gmc::explore(netScenario(mc), opts);
-}
-
-sim::gmc::RunOutcome
-replayNetConfig(const McConfig &mc, const sim::gmc::Schedule &schedule)
-{
-    return sim::gmc::replay(netScenario(mc), schedule);
-}
-
 namespace
 {
 
@@ -815,26 +802,6 @@ etNetScenario(const McConfig &mc)
     };
 }
 
-sim::gmc::ExploreResult
-exploreEtNetConfig(const McConfig &mc,
-                   const sim::gmc::ExploreOptions &opts)
-{
-    return sim::gmc::explore(etNetScenario(mc), opts);
-}
-
-sim::gmc::RunOutcome
-replayEtNetConfig(const McConfig &mc,
-                  const sim::gmc::Schedule &schedule)
-{
-    return sim::gmc::replay(etNetScenario(mc), schedule);
-}
-
-sim::gmc::ExploreResult
-exploreConfig(const McConfig &mc, const sim::gmc::ExploreOptions &opts)
-{
-    return sim::gmc::explore(scenario(mc), opts);
-}
-
 sim::gmc::RunFn
 ringScenario(const McConfig &mc)
 {
@@ -843,25 +810,6 @@ ringScenario(const McConfig &mc)
     if (ring.ringEntries == 0)
         ring.ringEntries = 1;
     return scenario(ring);
-}
-
-sim::gmc::ExploreResult
-exploreRingConfig(const McConfig &mc,
-                  const sim::gmc::ExploreOptions &opts)
-{
-    return sim::gmc::explore(ringScenario(mc), opts);
-}
-
-sim::gmc::RunOutcome
-replayRingConfig(const McConfig &mc, const sim::gmc::Schedule &schedule)
-{
-    return sim::gmc::replay(ringScenario(mc), schedule);
-}
-
-sim::gmc::RunOutcome
-replayConfig(const McConfig &mc, const sim::gmc::Schedule &schedule)
-{
-    return sim::gmc::replay(scenario(mc), schedule);
 }
 
 } // namespace genesys::core::gmc

@@ -95,14 +95,6 @@ SystemConfig collapsedConfig(const McConfig &mc);
  */
 sim::gmc::RunFn scenario(const McConfig &mc);
 
-/** explore() over this config's scenario. */
-sim::gmc::ExploreResult exploreConfig(const McConfig &mc,
-                                      const sim::gmc::ExploreOptions &opts);
-
-/** Re-execute one schedule of this config (--gmc-replay). */
-sim::gmc::RunOutcome replayConfig(const McConfig &mc,
-                                  const sim::gmc::Schedule &schedule);
-
 /**
  * Timing-collapsed gnet scenario: a host TCP client against a GPU
  * epoll echo server (epoll_create/ctl/wait, accept, read, write all
@@ -112,15 +104,6 @@ sim::gmc::RunOutcome replayConfig(const McConfig &mc,
  * "stuck" and gsan violations.
  */
 sim::gmc::RunFn netScenario(const McConfig &mc);
-
-/** explore() over this config's netScenario. */
-sim::gmc::ExploreResult
-exploreNetConfig(const McConfig &mc,
-                 const sim::gmc::ExploreOptions &opts);
-
-/** Re-execute one schedule of this config's netScenario. */
-sim::gmc::RunOutcome replayNetConfig(const McConfig &mc,
-                                     const sim::gmc::Schedule &schedule);
 
 /**
  * Edge-triggered gnet scenario: like netScenario, but the accepted
@@ -137,16 +120,6 @@ sim::gmc::RunOutcome replayNetConfig(const McConfig &mc,
  */
 sim::gmc::RunFn etNetScenario(const McConfig &mc);
 
-/** explore() over this config's etNetScenario. */
-sim::gmc::ExploreResult
-exploreEtNetConfig(const McConfig &mc,
-                   const sim::gmc::ExploreOptions &opts);
-
-/** Re-execute one schedule of this config's etNetScenario. */
-sim::gmc::RunOutcome
-replayEtNetConfig(const McConfig &mc,
-                  const sim::gmc::Schedule &schedule);
-
 /**
  * Ring-protocol scenario (DESIGN.md §13): scenario() with the SQ/CQ
  * submission path forced on. The same workload and oracles apply —
@@ -156,16 +129,6 @@ replayEtNetConfig(const McConfig &mc,
  * check in the quiescence oracle.
  */
 sim::gmc::RunFn ringScenario(const McConfig &mc);
-
-/** explore() over this config's ringScenario. */
-sim::gmc::ExploreResult
-exploreRingConfig(const McConfig &mc,
-                  const sim::gmc::ExploreOptions &opts);
-
-/** Re-execute one schedule of this config's ringScenario. */
-sim::gmc::RunOutcome
-replayRingConfig(const McConfig &mc,
-                 const sim::gmc::Schedule &schedule);
 
 } // namespace genesys::core::gmc
 

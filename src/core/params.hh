@@ -95,9 +95,11 @@ struct GenesysParams
     /// A blocking requester transparently restarts -EINTR results up
     /// to this many times per call before surfacing the error.
     std::uint32_t eintrMaxRestarts = 64;
-    /// -EAGAIN is retried with exponential backoff at most this many
-    /// times; the first wait is eagainBackoffCycles GPU cycles and
-    /// doubles per consecutive retry.
+    /// -EAGAIN is retried at most this many times per request. A
+    /// leader-lane (work-group/kernel) call waits eagainBackoffCycles
+    /// GPU cycles before its first retry, doubling per consecutive
+    /// retry; a work-item wave stalls a flat eagainBackoffCycles once
+    /// per round in which any lane is retrying.
     std::uint32_t eagainMaxRetries = 8;
     std::uint64_t eagainBackoffCycles = 1024;
 };

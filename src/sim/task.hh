@@ -188,9 +188,10 @@ class [[nodiscard]] Task<void>
     void
     await_resume()
     {
-        auto &p = handle_.promise();
-        if (p.error)
-            std::rethrow_exception(p.error);
+        // An empty task (default-constructed) is ready and has done
+        // nothing: awaiting it is a no-op.
+        if (handle_ && handle_.promise().error)
+            std::rethrow_exception(handle_.promise().error);
     }
 
   private:

@@ -19,9 +19,15 @@ using core::Blocking;
 using core::Granularity;
 using core::Ordering;
 using core::WaitMode;
+using core::gmc::etNetScenario;
 using core::gmc::McConfig;
+using core::gmc::netScenario;
+using core::gmc::ringScenario;
+using core::gmc::scenario;
+using sim::gmc::explore;
 using sim::gmc::ExploreOptions;
 using sim::gmc::ExploreResult;
+using sim::gmc::replay;
 using sim::gmc::RunOutcome;
 using sim::gmc::Schedule;
 
@@ -86,8 +92,8 @@ TEST(GmcClean, FifoRunIsDeterministic)
 {
     const McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    const RunOutcome a = core::gmc::replayConfig(mc, {});
-    const RunOutcome b = core::gmc::replayConfig(mc, {});
+    const RunOutcome a = replay(scenario(mc), {});
+    const RunOutcome b = replay(scenario(mc), {});
     EXPECT_FALSE(a.violation) << a.kind << ": " << a.detail;
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.endTick, b.endTick);
@@ -98,7 +104,7 @@ TEST(GmcClean, WorkItemOneShardExhaustive)
 {
     const McConfig mc =
         baseConfig(Granularity::WorkItem, WaitMode::Polling);
-    const ExploreResult r = core::gmc::exploreConfig(mc, {});
+    const ExploreResult r = explore(scenario(mc), {});
     EXPECT_TRUE(r.stats.exhaustive);
     EXPECT_GT(r.stats.schedulesRun, 1u);
     for (const auto &v : r.violations) {
@@ -112,7 +118,7 @@ TEST(GmcClean, WorkGroupOneShardExhaustive)
 {
     const McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    const ExploreResult r = core::gmc::exploreConfig(mc, {});
+    const ExploreResult r = explore(scenario(mc), {});
     EXPECT_TRUE(r.stats.exhaustive);
     EXPECT_GT(r.stats.schedulesRun, 1u);
     for (const auto &v : r.violations) {
@@ -126,7 +132,7 @@ TEST(GmcClean, WorkGroupHaltResumeExhaustive)
 {
     const McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::HaltResume);
-    const ExploreResult r = core::gmc::exploreConfig(mc, {});
+    const ExploreResult r = explore(scenario(mc), {});
     EXPECT_TRUE(r.stats.exhaustive);
     for (const auto &v : r.violations) {
         ADD_FAILURE() << mc.name() << " schedule "
@@ -141,7 +147,7 @@ TEST(GmcClean, BoundedExplorationReportsNonExhaustive)
         baseConfig(Granularity::WorkGroup, WaitMode::Polling);
     ExploreOptions opts;
     opts.maxSchedules = 2;
-    const ExploreResult r = core::gmc::exploreConfig(mc, opts);
+    const ExploreResult r = explore(scenario(mc), opts);
     EXPECT_LE(r.stats.schedulesRun, 2u);
     EXPECT_FALSE(r.stats.exhaustive);
 }
@@ -156,7 +162,7 @@ expectMutantCaught(McConfig mc, const char *kind)
 {
     ExploreOptions opts;
     opts.maxCounterexamples = 1;
-    const ExploreResult r = core::gmc::exploreConfig(mc, opts);
+    const ExploreResult r = explore(scenario(mc), opts);
     ASSERT_FALSE(r.violations.empty())
         << mc.name() << ": mutant not found";
     const auto &cx = r.violations.front();
@@ -164,8 +170,8 @@ expectMutantCaught(McConfig mc, const char *kind)
         << "schedule " << sim::gmc::renderSchedule(cx.schedule) << ": "
         << cx.outcome.detail;
 
-    const RunOutcome once = core::gmc::replayConfig(mc, cx.schedule);
-    const RunOutcome twice = core::gmc::replayConfig(mc, cx.schedule);
+    const RunOutcome once = replay(scenario(mc), cx.schedule);
+    const RunOutcome twice = replay(scenario(mc), cx.schedule);
     EXPECT_TRUE(once.violation);
     EXPECT_EQ(once.kind, cx.outcome.kind);
     EXPECT_EQ(once.kind, twice.kind);
@@ -185,7 +191,7 @@ TEST(GmcMutant, DoorbellBeforePublishStrandsRequest)
     // First confirm FIFO really is blind to it — the whole reason a
     // model checker is needed.
     {
-            const RunOutcome fifo = core::gmc::replayConfig(mc, {});
+        const RunOutcome fifo = replay(scenario(mc), {});
         EXPECT_FALSE(fifo.violation)
             << "FIFO already catches it: " << fifo.kind;
     }
@@ -219,13 +225,12 @@ TEST(GmcPor, FootprintPorIsHeuristicNotSound)
     mc.mutants = {Mutant::DoorbellBeforePublish};
 
     ExploreOptions exhaustive;
-    const ExploreResult full = core::gmc::exploreConfig(mc, exhaustive);
+    const ExploreResult full = explore(scenario(mc), exhaustive);
     ASSERT_FALSE(full.violations.empty());
 
     ExploreOptions heuristic;
     heuristic.por = true;
-    const ExploreResult pruned =
-        core::gmc::exploreConfig(mc, heuristic);
+    const ExploreResult pruned = explore(scenario(mc), heuristic);
     EXPECT_GT(pruned.stats.branchesPruned, 0u);
     EXPECT_LT(pruned.stats.schedulesRun, full.stats.schedulesRun);
     EXPECT_TRUE(pruned.violations.empty())
@@ -240,7 +245,7 @@ TEST(GmcReplay, OutOfRangeChoiceReportsPanic)
     const McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::Polling);
     // No tie point in this scenario has 1000 candidates.
-    const RunOutcome out = core::gmc::replayConfig(mc, {999});
+    const RunOutcome out = replay(scenario(mc), {999});
     EXPECT_TRUE(out.violation);
     EXPECT_EQ(out.kind, "panic");
 }
@@ -251,8 +256,8 @@ TEST(GmcNet, FifoRunIsCleanAndDeterministic)
 {
     const McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    const RunOutcome a = core::gmc::replayNetConfig(mc, {});
-    const RunOutcome b = core::gmc::replayNetConfig(mc, {});
+    const RunOutcome a = replay(netScenario(mc), {});
+    const RunOutcome b = replay(netScenario(mc), {});
     EXPECT_FALSE(a.violation) << a.kind << ": " << a.detail;
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.endTick, b.endTick);
@@ -270,7 +275,7 @@ TEST(GmcNet, PollingBoundedExplorationIsClean)
     ExploreOptions opts;
     opts.maxSchedules = 24;
     opts.maxDepth = 12;
-    const ExploreResult r = core::gmc::exploreNetConfig(mc, opts);
+    const ExploreResult r = explore(netScenario(mc), opts);
     EXPECT_GT(r.stats.schedulesRun, 1u);
     for (const auto &v : r.violations) {
         ADD_FAILURE() << mc.name() << " net schedule "
@@ -289,7 +294,7 @@ TEST(GmcNet, HaltResumeBoundedExplorationIsClean)
     ExploreOptions opts;
     opts.maxSchedules = 24;
     opts.maxDepth = 12;
-    const ExploreResult r = core::gmc::exploreNetConfig(mc, opts);
+    const ExploreResult r = explore(netScenario(mc), opts);
     EXPECT_GT(r.stats.schedulesRun, 1u);
     for (const auto &v : r.violations) {
         ADD_FAILURE() << mc.name() << " net schedule "
@@ -312,8 +317,8 @@ TEST(GmcEtNet, FifoRunIsCleanAndDeterministic)
 {
     const McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    const RunOutcome a = core::gmc::replayEtNetConfig(mc, {});
-    const RunOutcome b = core::gmc::replayEtNetConfig(mc, {});
+    const RunOutcome a = replay(etNetScenario(mc), {});
+    const RunOutcome b = replay(etNetScenario(mc), {});
     EXPECT_FALSE(a.violation) << a.kind << ": " << a.detail;
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.endTick, b.endTick);
@@ -331,7 +336,7 @@ TEST(GmcEtNet, PollingBoundedExplorationIsClean)
     ExploreOptions opts;
     opts.maxSchedules = 24;
     opts.maxDepth = 12;
-    const ExploreResult r = core::gmc::exploreEtNetConfig(mc, opts);
+    const ExploreResult r = explore(etNetScenario(mc), opts);
     EXPECT_GT(r.stats.schedulesRun, 1u);
     for (const auto &v : r.violations) {
         ADD_FAILURE() << mc.name() << " ET net schedule "
@@ -356,7 +361,7 @@ TEST(GmcEtNet, LostEdgeMutantStrandsServer)
     mc.mutants = {Mutant::LostEdge};
     ExploreOptions opts;
     opts.maxCounterexamples = 1;
-    const ExploreResult r = core::gmc::exploreEtNetConfig(mc, opts);
+    const ExploreResult r = explore(etNetScenario(mc), opts);
     ASSERT_FALSE(r.violations.empty())
         << mc.name() << ": lost-edge mutant not found";
     const auto &cx = r.violations.front();
@@ -364,9 +369,8 @@ TEST(GmcEtNet, LostEdgeMutantStrandsServer)
         << "schedule " << sim::gmc::renderSchedule(cx.schedule) << ": "
         << cx.outcome.detail;
 
-    const RunOutcome once = core::gmc::replayEtNetConfig(mc, cx.schedule);
-    const RunOutcome twice =
-        core::gmc::replayEtNetConfig(mc, cx.schedule);
+    const RunOutcome once = replay(etNetScenario(mc), cx.schedule);
+    const RunOutcome twice = replay(etNetScenario(mc), cx.schedule);
     EXPECT_TRUE(once.violation);
     EXPECT_EQ(once.kind, cx.outcome.kind);
     EXPECT_EQ(once.kind, twice.kind);
@@ -385,7 +389,7 @@ expectRingMutantCaught(McConfig mc, const char *kind)
 {
     ExploreOptions opts;
     opts.maxCounterexamples = 1;
-    const ExploreResult r = core::gmc::exploreRingConfig(mc, opts);
+    const ExploreResult r = explore(ringScenario(mc), opts);
     ASSERT_FALSE(r.violations.empty())
         << mc.name() << ": ring mutant not found";
     const auto &cx = r.violations.front();
@@ -393,10 +397,8 @@ expectRingMutantCaught(McConfig mc, const char *kind)
         << "schedule " << sim::gmc::renderSchedule(cx.schedule) << ": "
         << cx.outcome.detail;
 
-    const RunOutcome once =
-        core::gmc::replayRingConfig(mc, cx.schedule);
-    const RunOutcome twice =
-        core::gmc::replayRingConfig(mc, cx.schedule);
+    const RunOutcome once = replay(ringScenario(mc), cx.schedule);
+    const RunOutcome twice = replay(ringScenario(mc), cx.schedule);
     EXPECT_TRUE(once.violation);
     EXPECT_EQ(once.kind, cx.outcome.kind);
     EXPECT_EQ(once.kind, twice.kind);
@@ -418,8 +420,8 @@ TEST(GmcRing, FifoRunIsCleanAndDeterministic)
 {
     const McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    const RunOutcome a = core::gmc::replayRingConfig(mc, {});
-    const RunOutcome b = core::gmc::replayRingConfig(mc, {});
+    const RunOutcome a = replay(ringScenario(mc), {});
+    const RunOutcome b = replay(ringScenario(mc), {});
     EXPECT_FALSE(a.violation) << a.kind << ": " << a.detail;
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.endTick, b.endTick);
@@ -427,7 +429,7 @@ TEST(GmcRing, FifoRunIsCleanAndDeterministic)
     // Ring submission changes the event structure, so the digest must
     // differ from the slot-doorbell run of the same config — proof the
     // scenario actually went through the rings.
-    const RunOutcome slots = core::gmc::replayConfig(mc, {});
+    const RunOutcome slots = replay(scenario(mc), {});
     EXPECT_NE(a.digest, slots.digest);
 }
 
@@ -435,7 +437,7 @@ TEST(GmcRing, WorkGroupOneShardExhaustive)
 {
     const McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    const ExploreResult r = core::gmc::exploreRingConfig(mc, {});
+    const ExploreResult r = explore(ringScenario(mc), {});
     EXPECT_TRUE(r.stats.exhaustive);
     EXPECT_GT(r.stats.schedulesRun, 1u);
     for (const auto &v : r.violations) {
@@ -452,7 +454,7 @@ TEST(GmcRing, WorkItemOneShardExhaustive)
     // SQ-full claim-retry path and the multi-batch doorbell decision.
     const McConfig mc =
         baseConfig(Granularity::WorkItem, WaitMode::Polling);
-    const ExploreResult r = core::gmc::exploreRingConfig(mc, {});
+    const ExploreResult r = explore(ringScenario(mc), {});
     EXPECT_TRUE(r.stats.exhaustive);
     EXPECT_GT(r.stats.schedulesRun, 1u);
     for (const auto &v : r.violations) {
@@ -485,7 +487,7 @@ TEST(GmcRingMutant, CompletionBeforePublishStrandsWaiter)
     mc.mutants = {Mutant::RingCompleteBeforePublish};
 
     {
-            const RunOutcome fifo = core::gmc::replayRingConfig(mc, {});
+        const RunOutcome fifo = replay(ringScenario(mc), {});
         EXPECT_FALSE(fifo.violation)
             << "FIFO already catches it: " << fifo.kind;
     }

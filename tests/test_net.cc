@@ -1045,6 +1045,73 @@ TEST(GpuVectored, WritevThroughDescriptorWindow)
     EXPECT_EQ(std::memcmp(buf, "vectored", 8), 0);
 }
 
+TEST(GpuVectored, OversizeIovecCountFailsOnlyThatLane)
+{
+    // A lane whose count is negative or past its descriptor window
+    // gets -EINVAL (POSIX readv/writev past IOV_MAX); it is neither
+    // staged nor published, and the wave's valid lane still sends.
+    core::SystemConfig cfg;
+    cfg.gpu.numCus = 1;
+    cfg.gpu.kernelLaunchLatency = ticks::us(5);
+    cfg.genesys.useRings = true;
+    core::System sys(cfg);
+    GpuNetRig rig = buildRig(sys, 8401);
+
+    static const char kPartA[] = "vect";
+    static const char kPartB[] = "ored";
+    static osk::IoVec iov[2];
+    iov[0] = osk::IoVec{osk::SyscallArgs::fromPtr(kPartA), 4};
+    iov[1] = osk::IoVec{osk::SyscallArgs::fromPtr(kPartB), 4};
+    const int too_many =
+        static_cast<int>(sys.config().genesys.iovecEntriesPerLane) + 1;
+    std::int64_t lane_ret[3] = {-1, -1, -1};
+    int results = 0;
+
+    gpu::KernelLaunch k;
+    const std::uint32_t wg = sys.config().gpu.wavefrontSize;
+    k.workItems = wg;
+    k.wgSize = wg;
+    const int conn_fd = static_cast<int>(rig.connFd);
+    k.program = [&, conn_fd](gpu::WavefrontCtx &ctx) -> sim::Task<> {
+        core::Invocation inv; // strong ordering, blocking
+        inv.granularity = core::Granularity::WorkItem;
+        co_await sys.gpuSys().invokeWorkItemsVectored(
+            ctx, inv, osk::sysno::writev,
+            [conn_fd, too_many](std::uint32_t lane)
+                -> std::optional<core::GpuSyscalls::LaneVec> {
+                if (lane == 0)
+                    return core::GpuSyscalls::LaneVec{conn_fd, iov, 2, 0};
+                if (lane == 1)
+                    return core::GpuSyscalls::LaneVec{conn_fd, iov,
+                                                      too_many, 0};
+                if (lane == 2)
+                    return core::GpuSyscalls::LaneVec{conn_fd, iov, -1, 0};
+                return std::nullopt;
+            },
+            [&](std::uint32_t lane, std::int64_t ret) {
+                ++results;
+                if (lane < 3)
+                    lane_ret[lane] = ret;
+            });
+    };
+    sys.launchGpuAndDrain(std::move(k));
+
+    std::uint8_t buf[16] = {};
+    std::int64_t got = 0;
+    sys.sim().spawn([](osk::TcpSocket *c, std::uint8_t *b,
+                       std::int64_t &out) -> sim::Task<> {
+        out = co_await c->read(b, 16);
+    }(rig.client, buf, got));
+    sys.run();
+    EXPECT_EQ(results, 3);
+    EXPECT_EQ(lane_ret[0], 8);
+    EXPECT_EQ(lane_ret[1], -EINVAL);
+    EXPECT_EQ(lane_ret[2], -EINVAL);
+    EXPECT_EQ(got, 8);
+    EXPECT_EQ(std::memcmp(buf, "vectored", 8), 0);
+    EXPECT_EQ(sys.gpuSys().issuedRequests(), 1u);
+}
+
 // ======================================================== gkv server
 
 TEST(Gkv, GpuServerEndToEnd)

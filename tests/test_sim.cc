@@ -136,6 +136,21 @@ TEST(Task, NestedAwaitPropagatesValues)
     EXPECT_EQ(result, 44);
 }
 
+TEST(Task, AwaitingAnEmptyTaskIsANoOp)
+{
+    // A plain function may return Task<>{} when it has nothing left
+    // to suspend for; the awaiter continues at once.
+    Sim sim;
+    bool after = false;
+    sim.spawn([](bool &flag) -> Task<> {
+        co_await Task<>{};
+        flag = true;
+    }(after));
+    sim.run();
+    EXPECT_TRUE(after);
+    EXPECT_EQ(sim.now(), 0u);
+}
+
 TEST(Task, ExceptionPropagatesThroughAwaitChain)
 {
     Sim sim;
